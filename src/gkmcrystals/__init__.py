@@ -86,7 +86,6 @@ from .closed_form import (
     rank2_datum,
     rank2_highest_weight_member,
     rank2_member,
-    rank2_sequence,
 )
 
 __version__ = "0.1.0"

@@ -376,6 +376,15 @@ def parse_datum_payload(obj):
     seq = obj.get("sequence")
     if seq is not None and not isinstance(seq, dict):
         raise DatumFormatError('"sequence" must be an object')
+    if seq is not None and seq.get("kind") == "monster":
+        level, mults = seq.get("level"), seq.get("multiplicities")
+        if not isinstance(level, int) or not (
+            isinstance(mults, list) and all(isinstance(v, int) for v in mults)
+        ):
+            raise DatumFormatError(
+                'a "monster" sequence needs an integer "level" and a list of '
+                'integer "multiplicities"'
+            )
     return names, matrix, syms, seq
 
 

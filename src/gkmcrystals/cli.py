@@ -38,7 +38,6 @@ from .closed_form import (
     rank2_datum,
     rank2_highest_weight_member,
     rank2_member,
-    rank2_sequence,
 )
 from .binfinity import (
     crystal_embedding,
@@ -91,10 +90,17 @@ def _parse_lambda(datum, text):
     return datum.weight(lam=coeffs)
 
 
+def _sequence_from_file(datum, file_spec):
+    try:
+        return sequence_from_spec(datum, file_spec)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"bad sequence in the datum file: {exc.args[0]}") from exc
+
+
 def _resolve_sequence(datum, seq_arg, file_spec):
     if seq_arg is None:
         if file_spec is not None:
-            return sequence_from_spec(datum, file_spec)
+            return _sequence_from_file(datum, file_spec)
         return cyclic_sequence(datum)
     if seq_arg == "cyclic":
         return cyclic_sequence(datum)
@@ -104,15 +110,18 @@ def _resolve_sequence(datum, seq_arg, file_spec):
                 'sequence "monster" needs a {"sequence": {"kind": "monster", ...}} '
                 "entry in the datum file"
             )
-        return sequence_from_spec(datum, file_spec)
+        return _sequence_from_file(datum, file_spec)
     if seq_arg.startswith("explicit:"):
         body = seq_arg[len("explicit:"):]
         if ";" not in body:
             raise UsageError('explicit sequence syntax is "explicit:p1,p2;c1,c2"')
         prefix_text, cycle_text = body.split(";", 1)
-        prefix = [datum.index_of(s) for s in prefix_text.split(",") if s]
-        cycle = [datum.index_of(s) for s in cycle_text.split(",") if s]
-        return explicit_sequence(datum, prefix, cycle)
+        try:
+            prefix = [datum.index_of(s) for s in prefix_text.split(",") if s]
+            cycle = [datum.index_of(s) for s in cycle_text.split(",") if s]
+            return explicit_sequence(datum, prefix, cycle)
+        except (KeyError, ValueError) as exc:
+            raise UsageError(f"bad sequence {seq_arg!r}: {exc.args[0]}") from exc
     raise UsageError(f"unknown sequence spec {seq_arg!r}")
 
 
@@ -230,7 +239,7 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc
         datum = rank2_datum(params)
-        seq = rank2_sequence(datum)
+        seq = cyclic_sequence(datum)
         if args.lam is None:
             report = compare_predicate_with_bfs(
                 lambda x: rank2_member(x, params), datum, seq, args.depth
@@ -297,9 +306,13 @@ def cmd_check(args) -> int:
         datum, file_spec = _load_datum(args.datum)
         seq = _resolve_sequence(datum, args.seq, file_spec)
         binf = realize_binfinity(datum, seq, args.depth)
-        indices = (
-            [datum.index_of(args.index)] if args.index is not None else list(datum.indices())
-        )
+        if args.index is None:
+            indices = list(datum.indices())
+        else:
+            try:
+                indices = [datum.index_of(args.index)]
+            except KeyError as exc:
+                raise UsageError(f"bad --index: {exc.args[0]}") from exc
         reports = []
         for i in indices:
             result = crystal_embedding(binf, i)
@@ -321,12 +334,26 @@ def cmd_check(args) -> int:
     raise UsageError(f"unknown check subcommand {sub!r}")
 
 
+def _nonnegative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_generation_options(parser, with_output):
     parser.add_argument("--datum", required=True, help="datum JSON file")
     parser.add_argument("--mode", choices=("binf", "hw"), default="binf")
     parser.add_argument("--lambda", dest="lam", default=None,
                         help="comma-separated fundamental-weight coefficients")
-    parser.add_argument("--depth", type=int, required=True)
+    parser.add_argument("--depth", type=_nonnegative_int, required=True)
     parser.add_argument("--seq", default=None,
                         help='cyclic | monster | "explicit:p1,p2;c1,c2"')
     if with_output:
@@ -355,24 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = checks.add_parser("axioms")
     c.add_argument("--datum", required=True)
-    c.add_argument("--trials", type=int, default=100)
+    c.add_argument("--trials", type=_positive_int, default=100)
     c.add_argument("--seed", type=int, default=None)
 
     c = checks.add_parser("assoc")
     c.add_argument("--datum", required=True)
-    c.add_argument("--trials", type=int, default=20)
+    c.add_argument("--trials", type=_positive_int, default=20)
     c.add_argument("--seed", type=int, default=None)
 
     c = checks.add_parser("oracle-rank2")
     c.add_argument("--abc", required=True, help='rank-2 parameters "a,b,c"')
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--lambda", dest="lam", default=None)
     c.add_argument("--out", default=None)
 
     c = checks.add_parser("oracle-monster")
     c.add_argument("--level", type=int, required=True)
     c.add_argument("--mult", required=True, help='multiplicities "m1,m2,..."')
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--lambda", dest="lam", default=None)
     c.add_argument("--lambda-real", dest="lam_real", type=int, default=None,
                    help="coefficient of the real fundamental weight")
@@ -381,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = checks.add_parser("projection")
     c.add_argument("--datum", required=True)
     c.add_argument("--lambda", dest="lam", required=True)
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--seq", default=None)
 
     c = checks.add_parser("embedding")
     c.add_argument("--datum", required=True)
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--seq", default=None)
     c.add_argument("--index", default=None, help="index name (default: all)")
 

@@ -14,18 +14,27 @@ the datum; the corresponding highest-weight variants add the bounds
 imposed by a dominant weight.  ``compare_predicate_with_bfs`` enumerates
 every bounded string passing a predicate and diffs the set against the
 generated component -- the two computations share no code path.
+
+The predicates are table-driven, so one test costs O(support): the
+rank-2 ones index the string directly, the Monster-type ones read
+per-model tables of the index array, the real slots b(n), the previous
+occurrence of every position and the Cartan entries along the sequence.
+The position-by-position reference evaluation they replace is kept in
+the test suite (``tests/closed_form_reference.py``), and a differential
+test diffs the two on every string of the oracle boxes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .cartan import BorcherdsCartanDatum, Weight, make_datum
 from .binfinity import (
     IndexSequence,
     StringCrystal,
-    cyclic_sequence,
     monster_block_sequence,
     monster_real_position,
     realize_binfinity,
@@ -57,14 +66,6 @@ def rank2_datum(p: Rank2Params) -> BorcherdsCartanDatum:
     return make_datum(("1", "2"), ((2, -p.a), (-p.b, -p.c)), (p.b // g, p.a // g))
 
 
-def rank2_sequence(datum) -> IndexSequence:
-    return cyclic_sequence(datum)
-
-
-def _entry(x, k):
-    return x[k - 1] if k <= len(x) else 0
-
-
 def rank2_member(x, p: Rank2Params) -> bool:
     """Membership in the component of the zero string, rank 2.
 
@@ -73,16 +74,14 @@ def rank2_member(x, p: Rank2Params) -> bool:
       (ii) whenever x_{2k} > 0 with k >= 2, both x_{2k-1} > 0 and
            a x_{2k} - x_{2k+1} > 0.
     """
-    top = len(x) // 2
-    for k in range(1, top + 1):
-        if p.a * _entry(x, 2 * k) - _entry(x, 2 * k + 1) < 0:
+    a, n = p.a, len(x)
+    for k in range(1, n, 2):  # x[k] is x_{2j} for j = (k + 1) / 2
+        v = x[k]
+        gate = a * v - (x[k + 1] if k + 1 < n else 0)
+        if gate < 0:
             return False
-    for k in range(2, top + 1):
-        if _entry(x, 2 * k) > 0:
-            if _entry(x, 2 * k - 1) == 0:
-                return False
-            if p.a * _entry(x, 2 * k) - _entry(x, 2 * k + 1) <= 0:
-                return False
+        if v > 0 and k > 1 and (x[k - 1] == 0 or gate <= 0):
+            return False
     return True
 
 
@@ -102,12 +101,13 @@ def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
     would pass through the excluded (0, 1))."""
     if not rank2_member(x, p):
         return False
-    if _entry(x, 1) > datum.pairing(0, lam):
+    x1, x2, x3 = (*x[:3], 0, 0, 0)[:3]
+    if x1 > datum.pairing(0, lam):
         return False
-    if _entry(x, 2) > 0 and datum.pairing(1, lam) == 0:
-        if _entry(x, 1) == 0:
+    if x2 > 0 and datum.pairing(1, lam) == 0:
+        if x1 == 0:
             return False
-        if p.a * _entry(x, 2) - _entry(x, 3) <= 0:
+        if p.a * x2 - x3 <= 0:
             return False
     return True
 
@@ -139,8 +139,58 @@ def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
     return make_datum(names, matrix)
 
 
+class _SequenceTables:
+    """Per-position tables of a Monster-type model for positions
+    0..length-1 (position p holds x_{p+1}):
+
+    * ``idx[p]``    the index i_{p+1};
+    * ``prev[p]``   the previous position carrying the same index, -1 if
+      there is none;
+    * ``pair[i][p]`` the Cartan entry a(i, i_{p+1}); ``pair[0]`` is row 0
+      read along the sequence;
+    * ``real[n]``   the position b(n) - 1 of real slot n, for every n up
+      to the first slot at or beyond ``length``;
+    * ``slots[p]``  the number of real slots at positions <= p.
+    """
+
+    def __init__(self, model, length: int):
+        seq, cartan = model.sequence, model.datum.cartan
+        self.sequence = seq
+        self.idx = idx = [seq.at(k) for k in range(1, length + 1)]
+        self.pair = [[row[i] for i in idx] for row in cartan]
+        last = {}
+        self.prev = prev = []
+        for p, i in enumerate(idx):
+            prev.append(last.get(i, -1))
+            last[i] = p
+        self.real = real = [model.real_position(0) - 1]
+        while real[-1] < length:
+            real.append(model.real_position(len(real)) - 1)
+        self.slots = slots = []
+        n = 0
+        for p in range(length):
+            while real[n] <= p:
+                n += 1
+            slots.append(n)
+
+    def gate_slack(self, x, n: int) -> int:
+        """Slack of the supporting inequality (ii) at real slot n:
+
+            -(sum_{b(n)<l<b(n+1)} <h_real, alpha_{i_l}> x_l) - x_{b(n+1)},
+
+        with entries beyond the support read as zero."""
+        lo, hi = self.real[n] + 1, self.real[n + 1]
+        return -sum(map(mul, self.pair[0][lo:hi], x[lo:hi])) - (x[hi] if hi < len(x) else 0)
+
+
 class MonsterModel:
-    """A Monster-type truncation bundled with its datum and sequence."""
+    """A Monster-type truncation bundled with its datum and sequence.
+
+    The predicates read the string against per-position tables of the
+    sequence (index array, previous occurrences, Cartan entries, real
+    slots), built on first use and rebuilt longer when a longer string
+    arrives or when ``sequence`` has been replaced.
+    """
 
     def __init__(self, params: MonsterParams):
         self.params = params
@@ -148,25 +198,18 @@ class MonsterModel:
         self.sequence = monster_block_sequence(
             self.datum, params.level, params.multiplicities
         )
+        self._tables = None
 
     def real_position(self, n: int) -> int:
         return monster_real_position(n, self.params.multiplicities)
 
-    def _previous_occurrence(self, k: int) -> int:
-        target = self.sequence.at(k)
-        for l in range(k - 1, 0, -1):
-            if self.sequence.at(l) == target:
-                return l
-        return 0
-
-    def _real_gate(self, x, n: int) -> int:
-        """-(sum over b(n) < l < b(n+1) of <h_real, alpha_{i_l}> x_l)."""
-        lo, hi = self.real_position(n), self.real_position(n + 1)
-        seq, datum = self.sequence, self.datum
-        return -sum(
-            datum.a(0, seq.at(l)) * _entry(x, l)
-            for l in range(lo + 1, min(hi, len(x) + 1))
-        )
+    def _tables_for(self, length: int) -> _SequenceTables:
+        """Tables of the current sequence covering at least ``length``
+        positions; a rebuild at least doubles the covered length."""
+        t = self._tables
+        if t is None or len(t.idx) < length or t.sequence is not self.sequence:
+            t = self._tables = _SequenceTables(self, max(length, 2 * len(t.idx) if t else 16))
+        return t
 
     def member(self, x) -> bool:
         """Membership in the component of the zero string.
@@ -180,45 +223,36 @@ class MonsterModel:
               real slots the supporting inequality of (ii) must be strict
               at the unique real slot between the two occurrences.
         """
-        seq, datum = self.sequence, self.datum
         support = len(x)
-        if _entry(x, self.real_position(1)) != 0:
+        t = self._tables_for(support)
+        real, row0 = t.real, t.pair[0]
+        if real[1] < support and x[real[1]] != 0:
             return False
         n = 1
-        while self.real_position(n + 1) <= support:
-            if self._real_gate(x, n) < _entry(x, self.real_position(n + 1)):
+        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
+            lo, hi = real[n] + 1, real[n + 1]
+            if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
                 return False
             n += 1
-        for k in range(1, support + 1):
-            if _entry(x, k) == 0 or seq.at(k) == 0:
+        idx, prev = t.idx, t.prev
+        for k in compress(range(support), x):
+            i = idx[k]
+            if i == 0:
                 continue
-            prev = self._previous_occurrence(k)
-            if prev == 0:
+            start = prev[k] + 1  # just after the previous occurrence of i
+            if start == 0:
                 continue
-            i = seq.at(k)
-            mass = sum(
-                datum.a(i, seq.at(l)) * _entry(x, l) for l in range(prev + 1, k)
-            )
-            if mass >= 0:
+            if sum(map(mul, t.pair[i][start:k], x[start:k])) >= 0:
                 return False
-            if all(
-                _entry(x, l) == 0
-                for l in range(prev + 1, k)
-                if seq.at(l) != 0
-            ):
-                slots = []
-                n = 0
-                while self.real_position(n) < k:
-                    if prev < self.real_position(n):
-                        slots.append(n)
-                    n += 1
-                if len(slots) != 1:
+            if all(x[l] == 0 for l in range(start, k) if idx[l] != 0):
+                # the real slots strictly between the occurrences: first..stop-1
+                first, stop = t.slots[start - 1], t.slots[k - 1]
+                if stop - first != 1:
                     raise MonsterConditionError(
-                        f"expected one real slot in ({prev}, {k}), found {slots}"
+                        f"expected one real slot in ({start}, {k + 1}), "
+                        f"found {list(range(first, stop))}"
                     )
-                if self._real_gate(x, slots[0]) <= _entry(
-                    x, self.real_position(slots[0] + 1)
-                ):
+                if t.gate_slack(x, first) <= 0:
                     return False
         return True
 
@@ -240,28 +274,21 @@ class MonsterModel:
         oracle."""
         if not self.member(x):
             return False
-        seq, datum = self.sequence, self.datum
-        if _entry(x, 1) > datum.pairing(0, lam):
+        datum = self.datum
+        if (x[0] if x else 0) > datum.pairing(0, lam):
             return False
-        for k in range(1, len(x) + 1):
-            i = seq.at(k)
-            if (
-                _entry(x, k) == 0
-                or i == 0
-                or datum.pairing(i, lam) != 0
-                or self._previous_occurrence(k) != 0
-            ):
+        t = self._tables_for(len(x))
+        idx, prev = t.idx, t.prev
+        for k in compress(range(len(x)), x):
+            i = idx[k]
+            if i == 0 or datum.pairing(i, lam) != 0 or prev[k] != -1:
                 continue
-            if not any(
-                datum.a(i, seq.at(l)) < 0 and _entry(x, l) > 0
-                for l in range(1, k)
-            ):
+            row = t.pair[i]
+            if not any(row[l] < 0 and x[l] > 0 for l in range(k)):
                 return False
-            if all(_entry(x, l) == 0 for l in range(1, k) if seq.at(l) != 0):
-                n = 0
-                while self.real_position(n + 1) < k:
-                    n += 1
-                if self._real_gate(x, n) <= _entry(x, self.real_position(n + 1)):
+            if all(x[l] == 0 for l in range(k) if idx[l] != 0):
+                n = t.slots[k - 1] - 1 if k else 0  # last real slot before k
+                if t.gate_slack(x, n) <= 0:
                     return False
         return True
 

@@ -250,3 +250,38 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--depth", "1"])
         assert exc.value.code == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadInputsExitTwo:
+    @pytest.mark.parametrize("argv", [
+        ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "-1"],
+        ["check", "oracle-monster", "--level", "2", "--mult", "2,1", "--depth", "-1"],
+        ["gen", "--datum", "{d1}", "--depth", "-1"],
+        ["check", "axioms", "--datum", "{d1}", "--trials", "-3"],
+        ["check", "assoc", "--datum", "{d1}", "--trials", "0"],
+        ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;zz"],
+        ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;1"],
+        ["check", "embedding", "--datum", "{d1}", "--depth", "1", "--index", "nope"],
+    ], ids=[
+        "oracle-rank2-depth", "oracle-monster-depth", "gen-depth", "axioms-trials",
+        "assoc-trials", "unknown-index-name", "index-never-recurs", "embedding-index",
+    ])
+    def test_rejected(self, d1_file, argv):
+        assert exit_code([d1_file if a == "{d1}" else a for a in argv]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "monster", "multiplicities": [2, 1]},
+        {"kind": "monster", "level": 2, "multiplicities": [1]},
+    ], ids=["no-level", "wrong-multiplicities"])
+    def test_bad_monster_sequence_in_datum_file(self, tmp_path, spec):
+        path = tmp_path / "monster.json"
+        G.save_datum_file(path, make_toy_monster().datum, sequence_spec=spec)
+        assert main(["gen", "--datum", str(path), "--depth", "1"]) == 2
