@@ -28,12 +28,13 @@ from .crystals import (
     ElementaryElement,
     ShiftCrystal,
     ShiftElement,
+    StringElement,
+    TensorElement,
     UnitCrystal,
     UnitElement,
 )
 from .tensor import (
     TensorCrystal,
-    TensorElement,
     reassociate,
     verify_associativity,
 )
@@ -61,7 +62,6 @@ from .binfinity import (
     AuditError,
     IndexSequence,
     StringCrystal,
-    StringElement,
     crystal_embedding,
     cyclic_sequence,
     explicit_sequence,

@@ -36,13 +36,19 @@ edge by edge rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index as _as_int
 
 from .cartan import BorcherdsCartanDatum, Weight
 from .checks import CheckReport, MorphismWitness, check_morphism
-from .crystals import Crystal, ElementaryCrystal, ShiftCrystal, UnitCrystal
+from .crystals import (
+    Crystal,
+    ElementaryCrystal,
+    ShiftCrystal,
+    StringElement,
+    TensorElement,
+    UnitCrystal,
+)
 from .graph import CUT, CrystalGraph, bfs_component
-from .tensor import TensorCrystal, TensorElement
+from .tensor import TensorCrystal
 
 
 class AuditError(RuntimeError):
@@ -169,24 +175,6 @@ def sequence_from_spec(datum, spec: dict) -> IndexSequence:
     if kind == "monster":
         return monster_block_sequence(datum, spec["level"], spec["multiplicities"])
     raise ValueError(f"unknown sequence kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class StringElement:
-    """Finitely supported string, canonical form: no trailing zeros."""
-
-    x: tuple
-    seq_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(_as_int(v) for v in self.x))
-        if any(v < 0 for v in self.x):
-            raise ValueError("string entries must be nonnegative")
-        if self.x and self.x[-1] == 0:
-            raise ValueError("strings must carry no trailing zeros")
-
-    def height(self) -> int:
-        return sum(self.x)
 
 
 class StringCrystal(Crystal):

@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cartan import (
     DatumConditionError,
@@ -57,18 +56,6 @@ OK, FAIL, USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    datum_path: str
-    mode: str = "binf"
-    lam: str | None = None
-    depth: int = 0
-    seq: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-    seed: int | None = None
 
 
 def _load_datum(path):
@@ -125,23 +112,26 @@ def _resolve_sequence(datum, seq_arg, file_spec):
     raise UsageError(f"unknown sequence spec {seq_arg!r}")
 
 
-def _generate(config: RunConfig):
-    datum, file_spec = _load_datum(config.datum_path)
-    seq = _resolve_sequence(datum, config.seq, file_spec)
-    if config.mode == "binf":
-        return datum, realize_binfinity(datum, seq, config.depth)
-    lam = _parse_lambda(datum, config.lam)
+def _generate(args):
+    datum, file_spec = _load_datum(args.datum)
+    seq = _resolve_sequence(datum, args.seq, file_spec)
+    if args.mode == "binf":
+        return realize_binfinity(datum, seq, args.depth)
+    lam = _parse_lambda(datum, args.lam)
     if not datum.is_dominant(lam):
-        raise UsageError(f"lambda {config.lam!r} is not dominant for this datum")
-    return datum, realize_highest_weight(datum, seq, lam, config.depth)
+        raise UsageError(f"lambda {args.lam!r} is not dominant for this datum")
+    return realize_highest_weight(datum, seq, lam, args.depth)
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -172,22 +162,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = RunConfig(
-        datum_path=args.datum, mode=args.mode, lam=getattr(args, "lam", None),
-        depth=args.depth, seq=args.seq, fmt=args.format, out=args.out,
-    )
-    _, graph = _generate(config)
-    text = graph_to_json(graph) if config.fmt == "json" else graph_to_dot(graph)
-    _emit(text, config.out)
+    graph = _generate(args)
+    text = graph_to_json(graph) if args.format == "json" else graph_to_dot(graph)
+    _emit(text, args.out)
     return OK
 
 
 def cmd_char(args) -> int:
-    config = RunConfig(
-        datum_path=args.datum, mode=args.mode, lam=getattr(args, "lam", None),
-        depth=args.depth, seq=args.seq,
-    )
-    _, graph = _generate(config)
+    graph = _generate(args)
     for w, mult in weight_multiplicities(graph):
         print(f"wt={weight_token(w)} mult={mult}")
     return OK
@@ -324,11 +306,7 @@ def cmd_check(args) -> int:
         return _report_outcome("embedding", reports)
 
     if sub == "profile":
-        config = RunConfig(
-            datum_path=args.datum, mode=args.mode, lam=getattr(args, "lam", None),
-            depth=args.depth, seq=args.seq,
-        )
-        _, graph = _generate(config)
+        graph = _generate(args)
         return _report_outcome("category profile", [check_category_profile(graph)])
 
     raise UsageError(f"unknown check subcommand {sub!r}")

@@ -14,11 +14,17 @@ Three concrete crystals are provided:
   written T_lam) with eps = phi = -inf, used to shift highest weights;
 * ``UnitCrystal``       -- the one-point crystal {c} of weight 0 with
   eps = phi = 0, the gate that kills lowering once phi drops to 0.
+
+All element types are defined here, next to ``sort_key``: the
+``ElementaryElement``, ``ShiftElement`` and ``UnitElement`` of those
+three crystals, the ``StringElement`` of the string crystals in
+``binfinity`` and the flat ``TensorElement`` of ``tensor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as _as_int
 
 from .cartan import NEG_INF, BorcherdsCartanDatum, Weight
 
@@ -72,6 +78,38 @@ class ShiftElement:
 @dataclass(frozen=True)
 class UnitElement:
     pass
+
+
+@dataclass(frozen=True)
+class StringElement:
+    """Finitely supported string, canonical form: no trailing zeros."""
+
+    x: tuple
+    seq_id: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(_as_int(v) for v in self.x))
+        if any(v < 0 for v in self.x):
+            raise ValueError("string entries must be nonnegative")
+        if self.x and self.x[-1] == 0:
+            raise ValueError("strings must carry no trailing zeros")
+
+    def height(self) -> int:
+        return sum(self.x)
+
+
+@dataclass(frozen=True)
+class TensorElement:
+    """Flat ordered tuple of at least two non-tensor factors."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+        if len(self.factors) < 2:
+            raise ValueError("tensor elements need at least two factors")
+        if any(isinstance(f, TensorElement) for f in self.factors):
+            raise ValueError("tensor elements must be flat")
 
 
 class ElementaryCrystal(Crystal):
@@ -182,11 +220,6 @@ def sort_key(elt):
     Elements of one crystal always share a type, so the per-type tag
     only matters for mixed containers in tests and diagnostics.
     """
-    # Imported here to avoid cycles; tensor and string elements are
-    # defined in their own modules.
-    from .tensor import TensorElement
-    from .binfinity import StringElement
-
     if isinstance(elt, ElementaryElement):
         return (0, elt.index, elt.steps)
     if isinstance(elt, ShiftElement):

@@ -27,6 +27,8 @@ from .cartan import Weight, ext_to_json, is_neg_inf
 from .crystals import (
     ElementaryElement,
     ShiftElement,
+    StringElement,
+    TensorElement,
     UnitElement,
     sort_key,
 )
@@ -97,9 +99,6 @@ class CrystalGraph:
         self.ids[elt] = node_id
         self.nodes.append(NodeRecord(elt, depth))
         return node_id
-
-    def node(self, node_id) -> NodeRecord:
-        return self.nodes[node_id]
 
     def elements(self):
         return [n.elt for n in self.nodes]
@@ -259,9 +258,6 @@ def weight_token(w: Weight) -> str:
 
 def element_token(elt, datum) -> str:
     """Compact printable form of an element (export and diagnostics)."""
-    from .tensor import TensorElement
-    from .binfinity import StringElement
-
     if isinstance(elt, ElementaryElement):
         return "b%s(-%d)" % (datum.index_names[elt.index], elt.steps)
     if isinstance(elt, ShiftElement):

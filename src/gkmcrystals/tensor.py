@@ -17,17 +17,20 @@ the result is the crystal zero:
                      zero iff eps_i(b') < phi_i(b) <= eps_i(b') - a_ii
                      right iff phi_i(b) <= eps_i(b')
 
-``TensorCrystal`` stores n-ary products flat and evaluates them
-left-associated; ``verify_associativity`` keeps the change of
-bracketing an executable fact rather than an assumption.
+``TensorCrystal`` stores n-ary products flat and evaluates an element
+b1 ⊗ ... ⊗ bn as the left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn,
+with the same ``bracket_*`` functions that ``verify_associativity``
+applies to both bracketings of a triple.  So the rule above has one
+implementation, and the change of bracketing is an executable fact
+rather than an assumption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import CheckReport
-from .crystals import Crystal
+from .crystals import Crystal, TensorElement
 
 LEFT = "left"
 RIGHT = "right"
@@ -48,18 +51,14 @@ def raising_side(is_real: bool, a_ii: int, phi_left, eps_right) -> str:
     return ZERO
 
 
-@dataclass(frozen=True)
-class TensorElement:
-    """Flat ordered tuple of at least two non-tensor factors."""
+class BracketLeaf(NamedTuple):
+    crystal: object
+    elt: object
 
-    factors: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) < 2:
-            raise ValueError("tensor elements need at least two factors")
-        if any(isinstance(f, TensorElement) for f in self.factors):
-            raise ValueError("tensor elements must be flat")
+class BracketPair(NamedTuple):
+    left: object
+    right: object
 
 
 class TensorCrystal(Crystal):
@@ -96,99 +95,32 @@ class TensorCrystal(Crystal):
             raise ValueError(f"expected {len(self.factors)} factors, got {len(flat)}")
         return TensorElement(tuple(flat))
 
-    def _pairs(self, b: TensorElement):
+    def _tree(self, b: TensorElement):
+        """The left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn of b."""
         if len(b.factors) != len(self.factors):
             raise ValueError("element does not belong to this tensor crystal")
-        return list(zip(self.factors, b.factors))
+        pairs = zip(self.factors, b.factors)
+        tree = BracketLeaf(*next(pairs))
+        for crystal, elt in pairs:
+            tree = BracketPair(tree, BracketLeaf(crystal, elt))
+        return tree
 
     def wt(self, b):
-        return _weight(self._pairs(b))
+        return bracket_wt(self._tree(b))
 
     def eps(self, i, b):
-        return _eps(self.datum, i, self._pairs(b))
+        return bracket_eps(self.datum, i, self._tree(b))
 
     def phi(self, i, b):
-        return _phi(self.datum, i, self._pairs(b))
+        return bracket_phi(self.datum, i, self._tree(b))
 
     def f(self, i, b):
-        parts = _lower(self.datum, i, self._pairs(b))
-        return None if parts is None else TensorElement(tuple(parts))
+        parts = bracket_leaves(bracket_lower(self.datum, i, self._tree(b)))
+        return None if parts is None else TensorElement(parts)
 
     def e(self, i, b):
-        parts = _raise(self.datum, i, self._pairs(b))
-        return None if parts is None else TensorElement(tuple(parts))
-
-
-def _weight(pairs):
-    w = pairs[0][0].wt(pairs[0][1])
-    for crystal, elt in pairs[1:]:
-        w = w + crystal.wt(elt)
-    return w
-
-
-def _eps(datum, i, pairs):
-    if len(pairs) == 1:
-        crystal, elt = pairs[0]
-        return crystal.eps(i, elt)
-    left, (crystal, elt) = pairs[:-1], pairs[-1]
-    return max(_eps(datum, i, left), crystal.eps(i, elt) - datum.pairing(i, _weight(left)))
-
-
-def _phi(datum, i, pairs):
-    if len(pairs) == 1:
-        crystal, elt = pairs[0]
-        return crystal.phi(i, elt)
-    left, (crystal, elt) = pairs[:-1], pairs[-1]
-    wt_last = datum.pairing(i, crystal.wt(elt))
-    return max(_phi(datum, i, left) + wt_last, crystal.phi(i, elt))
-
-
-def _lower(datum, i, pairs):
-    if len(pairs) == 1:
-        crystal, elt = pairs[0]
-        r = crystal.f(i, elt)
-        return None if r is None else [r]
-    left, (crystal, elt) = pairs[:-1], pairs[-1]
-    if lowering_side(_phi(datum, i, left), crystal.eps(i, elt)) == LEFT:
-        parts = _lower(datum, i, left)
-        return None if parts is None else parts + [elt]
-    r = crystal.f(i, elt)
-    return None if r is None else [p[1] for p in left] + [r]
-
-
-def _raise(datum, i, pairs):
-    if len(pairs) == 1:
-        crystal, elt = pairs[0]
-        r = crystal.e(i, elt)
-        return None if r is None else [r]
-    left, (crystal, elt) = pairs[:-1], pairs[-1]
-    side = raising_side(
-        datum.is_real(i), datum.a(i, i), _phi(datum, i, left), crystal.eps(i, elt)
-    )
-    if side == ZERO:
-        return None
-    if side == LEFT:
-        parts = _raise(datum, i, left)
-        return None if parts is None else parts + [elt]
-    r = crystal.e(i, elt)
-    return None if r is None else [p[1] for p in left] + [r]
-
-
-# ---------------------------------------------------------------------------
-# Explicit bracket trees.  The flat representation above is justified by
-# associativity; the bracket algebra below keeps that fact checkable.
-
-
-@dataclass(frozen=True)
-class BracketLeaf:
-    crystal: object
-    elt: object
-
-
-@dataclass(frozen=True)
-class BracketPair:
-    left: object
-    right: object
+        parts = bracket_leaves(bracket_raise(self.datum, i, self._tree(b)))
+        return None if parts is None else TensorElement(parts)
 
 
 def bracket_wt(tree):

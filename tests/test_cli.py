@@ -277,6 +277,14 @@ class TestBadInputsExitTwo:
     def test_rejected(self, d1_file, argv):
         assert exit_code([d1_file if a == "{d1}" else a for a in argv]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--datum", "{d1}", "--depth", "1", "--out"],
+        ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--out"],
+    ], ids=["gen-out", "oracle-rank2-out"])
+    def test_out_in_missing_directory(self, d1_file, tmp_path, argv):
+        out = str(tmp_path / "missing-dir" / "out.json")
+        assert exit_code([d1_file if a == "{d1}" else a for a in argv] + [out]) == 2
+
     @pytest.mark.parametrize("spec", [
         {"kind": "monster", "multiplicities": [2, 1]},
         {"kind": "monster", "level": 2, "multiplicities": [1]},

@@ -1,0 +1,101 @@
+"""TensorCrystal, which evaluates a product as the left-nested bracket
+tree of its factors, against the flat signature-rule recursion it
+replaces: wt, eps, phi, e and f on every node and index of the B(lambda)
+carriers, the crystal-embedding and tensor-decomposition targets, and
+random products of small crystals."""
+
+import random
+
+import pytest
+
+import gkmcrystals as G
+from gkmcrystals.fuzzing import random_universe_graph
+
+import tensor_reference as ref
+from conftest import make_d1, make_toy_monster
+
+
+def hw_graph(datum, seq, lam, depth):
+    return G.realize_highest_weight(datum, seq, lam, depth)
+
+
+def rank2_hw(lam):
+    d1 = make_d1()
+    return hw_graph(d1, G.cyclic_sequence(d1), d1.weight(lam=lam), 5)
+
+
+def monster_hw():
+    model = make_toy_monster()
+    return hw_graph(model.datum, model.sequence, model.datum.fundamental(0), 4)
+
+
+def embedding_target(i):
+    d1 = make_d1()
+    return G.crystal_embedding(G.realize_binfinity(d1, G.cyclic_sequence(d1), 5), i).target
+
+
+def decomposition_target():
+    d1 = make_d1()
+    return G.tensor_decomposition_embedding(
+        d1, G.cyclic_sequence(d1), d1.fundamental(0), d1.fundamental(1), 4
+    ).target
+
+
+def random_products(datum):
+    graphs = []
+    for seed in range(50):
+        g = random_universe_graph(random.Random(seed), datum)
+        if isinstance(g.crystal, G.TensorCrystal):
+            graphs.append(g)
+    return graphs
+
+
+def disagreements(graph):
+    crystal = graph.crystal
+    assert isinstance(crystal, G.TensorCrystal)
+    bad = []
+    for b in graph.elements():
+        if crystal.wt(b) != ref.wt(crystal, b):
+            bad.append(("wt", b))
+        for i in crystal.datum.indices():
+            for op in ("eps", "phi", "e", "f"):
+                if getattr(crystal, op)(i, b) != getattr(ref, op)(crystal, i, b):
+                    bad.append((op, i, b))
+    return bad
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 0), (1, 2)])
+def test_rank2_highest_weight_carrier(lam):
+    assert disagreements(rank2_hw(lam)) == []
+
+
+def test_monster_highest_weight_carrier():
+    assert disagreements(monster_hw()) == []
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_crystal_embedding_target(i):
+    assert disagreements(embedding_target(i)) == []
+
+
+def test_tensor_decomposition_target():
+    assert disagreements(decomposition_target()) == []
+
+
+@pytest.mark.parametrize("make_datum", [make_d1, lambda: make_toy_monster().datum],
+                         ids=["rank2", "monster"])
+def test_random_products(make_datum):
+    graphs = random_products(make_datum())
+    assert graphs
+    for g in graphs:
+        assert disagreements(g) == []
+
+
+def test_foreign_elements_rejected(d1):
+    c0 = G.ElementaryCrystal(d1, 0)
+    product = G.TensorCrystal(c0, c0, c0)
+    b = G.TensorCrystal(c0, c0).element(c0.top(), c0.top())
+    with pytest.raises(ValueError):
+        product.wt(b)
+    with pytest.raises(ValueError):
+        ref.wt(product, b)
