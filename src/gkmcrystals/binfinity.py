@@ -21,8 +21,18 @@ imaginary i:
     vanishes; e_i decrements there provided x_{n_f} > 0 and every earlier
     occurrence k of i satisfies  sum_{k<l<=n_f} <h_i, alpha_{i_l}> x_l < a_ii.
 
-Beyond the support all the maximized quantities are constant, so every
-scan stops at the support end plus one full cycle of the sequence.
+Beyond the support all the maximized quantities are constant, so no
+scan goes past the support end plus one full cycle of the sequence.
+
+Scans read the sequence from a cached index array
+(``IndexSequence.indices``), grown by doubling when a longer string
+arrives.  One backward pass per real index yields eps_i together with
+the smallest and largest maximizing positions, so f_i and e_i need no
+second scan; one forward pass per imaginary index yields the lowering
+slot and the raising test at that slot.  ``StringCrystal.stats`` runs
+those scans once per index for all of a node's statistics; phi_i keeps
+its own forward scan, so the identity phi_i = eps_i + <h_i, wt> that
+``check_axioms`` verifies stays a check.
 
 The connected component of the zero string realizes B(infinity); the
 component of (zero string) ⊗ t_lambda ⊗ c realizes the highest-weight
@@ -79,6 +89,7 @@ class IndexSequence:
         self.prefix = prefix
         self.cycle = cycle
         self.seq_id = seq_id
+        self._indices = []
 
     def at(self, k: int) -> int:
         """Index at position k >= 1."""
@@ -87,6 +98,17 @@ class IndexSequence:
         if k <= len(self.prefix):
             return self.prefix[k - 1]
         return self.cycle[(k - len(self.prefix) - 1) % len(self.cycle)]
+
+    def indices(self, n: int) -> list:
+        """Cached index array covering at least positions 1..n: entry p
+        is i_{p+1}.  It may be longer than n and must not be mutated;
+        a longer request regrows it to at least twice its length."""
+        idx = self._indices
+        if len(idx) < n:
+            length = max(n, 2 * len(idx), 16)
+            reps = -(-(length - len(self.prefix)) // len(self.cycle))
+            idx = self._indices = list(self.prefix + self.cycle * reps)
+        return idx
 
     def scan_bound(self, support_len: int) -> int:
         """Position after which every maximized quantity is constant."""
@@ -177,6 +199,15 @@ def sequence_from_spec(datum, spec: dict) -> IndexSequence:
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
+def _pairing_sum(row, idx, x) -> int:
+    """sum_k row[i_k] x_k over the support, for an index array idx."""
+    total = 0
+    for ik, xk in zip(idx, x):
+        if xk:
+            total += row[ik] * xk
+    return total
+
+
 class StringCrystal(Crystal):
     """Crystal structure on finitely supported strings over a sequence."""
 
@@ -197,111 +228,131 @@ class StringCrystal(Crystal):
 
     def wt(self, b) -> Weight:
         rt = [0] * self.datum.size
-        for k, v in enumerate(b.x, start=1):
+        for ik, v in zip(self.seq.indices(len(b.x)), b.x):
             if v:
-                rt[self.seq.at(k)] -= v
+                rt[ik] -= v
         return Weight((0,) * self.datum.size, tuple(rt))
 
-    def _real_candidates(self, i, x):
-        """(position, value) pairs of the raising statistic, ascending.
+    def _real_scan(self, i, x):
+        """(eps_i, smallest maximizing position, largest maximizing
+        position) of the raising statistic
 
-        value(k) = x_k + sum_{l>k} <h_i, alpha_{i_l}> x_l for i_k = i,
-        listed for all positions up to the scan bound, so the constant
-        beyond-support value 0 is always represented.
+            value(k) = x_k + sum_{l>k} <h_i, alpha_{i_l}> x_l,  i_k = i,
+
+        in one backward pass over the positions up to the scan bound, so
+        the constant beyond-support value 0 is always represented.
         """
         row = self.datum.cartan[i]
-        seq = self.seq
-        out = []
+        n = len(x)
+        bound = self.seq.scan_bound(n)
+        idx = self.seq.indices(bound)
+        top = lo = hi = None
         suffix = 0
-        for k in range(seq.scan_bound(len(x)), 0, -1):
-            ik = seq.at(k)
-            xk = x[k - 1] if k <= len(x) else 0
+        for k in range(bound, 0, -1):
+            ik = idx[k - 1]
+            xk = x[k - 1] if k <= n else 0
             if ik == i:
-                out.append((k, xk + suffix))
+                v = xk + suffix
+                if top is None or v > top:
+                    top = v
+                    lo = hi = k
+                elif v == top:
+                    lo = k
             if xk:
                 suffix += row[ik] * xk
-        out.reverse()
-        return out
+        return top, lo, hi
+
+    def _imaginary_scan(self, i, x):
+        """(lowering slot, whether e_i is nonzero there) in one forward
+        pass.  The slot is the smallest position n_f with i_{n_f} = i
+        whose tail sum vanishes; e_i decrements there iff x_{n_f} > 0 and
+        every earlier occurrence k of i sees sum_{k<l<=n_f} < a_ii, that
+        is, the running sum at n_f exceeds the smallest running sum at
+        an earlier occurrence by less than a_ii."""
+        row = self.datum.cartan[i]
+        a_ii = row[i]
+        n = len(x)
+        idx = self.seq.indices(self.seq.scan_bound(n))
+        total = _pairing_sum(row, idx, x)
+        run = 0
+        low = None  # smallest running sum at an earlier occurrence of i
+        for k, ik, xk in zip(range(1, n + 1), idx, x):
+            if xk:
+                run += row[ik] * xk
+            if ik == i:
+                if run == total:
+                    return k, xk > 0 and (low is None or run - low < a_ii)
+                if low is None or run < low:
+                    low = run
+        # beyond the support the tail sum is zero: the slot is the next
+        # occurrence of i, which lies within one cycle, and x is zero there
+        return idx.index(i, n) + 1, False
+
+    def _scan(self, i, x):
+        """(eps_i, position f_i increments, position e_i decrements or 0
+        when e_i x is zero): the string rule, one scan per call."""
+        if self.datum.is_imaginary(i):
+            slot, raisable = self._imaginary_scan(i, x)
+            return 0, slot, slot if raisable else 0
+        top, lo, hi = self._real_scan(i, x)
+        if top <= 0 or hi > len(x) or x[hi - 1] == 0:
+            # a zero at hi with top > 0 means the raised factor leaves the
+            # crystal (b_i(+1) is zero); happens only outside the
+            # component of the zero string
+            hi = 0
+        return top, lo, hi
 
     def eps(self, i, b):
         if self.datum.is_imaginary(i):
             return 0
-        return max(v for _, v in self._real_candidates(i, b.x))
+        return self._real_scan(i, b.x)[0]
 
     def phi(self, i, b):
         row = self.datum.cartan[i]
-        seq = self.seq
         x = b.x
+        idx = self.seq.indices(len(x))
         if self.datum.is_imaginary(i):
-            return -sum(row[seq.at(k)] * v for k, v in enumerate(x, start=1) if v)
+            return -_pairing_sum(row, idx, x)
         best = None
         prefix = 0
-        for k in range(1, seq.scan_bound(len(x)) + 1):
-            ik = seq.at(k)
-            xk = x[k - 1] if k <= len(x) else 0
+        for ik, xk in zip(idx, x):
             if ik == i:
                 cand = -xk - prefix
                 if best is None or cand > best:
                     best = cand
             if xk:
                 prefix += row[ik] * xk
-        return best
-
-    def _imaginary_lowering_slot(self, i, x) -> int:
-        """Smallest position with index i whose tail pairing sum is zero."""
-        row = self.datum.cartan[i]
-        seq = self.seq
-        total = sum(row[seq.at(k)] * v for k, v in enumerate(x, start=1) if v)
-        run = 0
-        for k in range(1, seq.scan_bound(len(x)) + 1):
-            ik = seq.at(k)
-            if k <= len(x) and x[k - 1]:
-                run += row[ik] * x[k - 1]
-            if ik == i and total - run == 0:
-                return k
-        raise AssertionError("scan bound failed to expose a lowering slot")
+        # i recurs beyond the support, where every candidate is -prefix
+        return -prefix if best is None or -prefix > best else best
 
     def _bump(self, x, k, delta) -> StringElement:
-        y = list(x) + [0] * (k - len(x))
-        y[k - 1] += delta
-        return self.element(y)
+        """x with delta added at position k, zero-padded or stripped of
+        trailing zeros into canonical form."""
+        if k > len(x):
+            y = x + (0,) * (k - len(x) - 1) + (delta,)
+        else:
+            y = x[:k - 1] + (x[k - 1] + delta,) + x[k:]
+            while y and not y[-1]:
+                y = y[:-1]
+        return StringElement(y, self.seq.seq_id)
 
     def f(self, i, b):
-        x = b.x
-        if self.datum.is_imaginary(i):
-            return self._bump(x, self._imaginary_lowering_slot(i, x), +1)
-        cands = self._real_candidates(i, x)
-        top = max(v for _, v in cands)
-        slot = next(k for k, v in cands if v == top)
-        return self._bump(x, slot, +1)
+        return self._bump(b.x, self._scan(i, b.x)[1], +1)
 
     def e(self, i, b):
+        slot = self._scan(i, b.x)[2]
+        return self._bump(b.x, slot, -1) if slot else None
+
+    def stats(self, b):
         x = b.x
-        if self.datum.is_imaginary(i):
-            slot = self._imaginary_lowering_slot(i, x)
-            if slot > len(x) or x[slot - 1] == 0:
-                return None
-            row = self.datum.cartan[i]
-            seq = self.seq
-            a_ii = self.datum.a(i, i)
-            # every earlier occurrence k of i must see sum_{k<l<=slot} < a_ii
-            tail = 0
-            for k in range(slot, 0, -1):
-                if k < slot and seq.at(k) == i and tail >= a_ii:
-                    return None
-                if k <= len(x) and x[k - 1]:
-                    tail += row[seq.at(k)] * x[k - 1]
-            return self._bump(x, slot, -1)
-        cands = self._real_candidates(i, x)
-        top = max(v for _, v in cands)
-        if top <= 0:
-            return None
-        slot = next(k for k, v in reversed(cands) if v == top)
-        if slot > len(x) or x[slot - 1] == 0:
-            # the raised factor leaves the crystal (b_i(+1) is zero);
-            # happens only outside the component of the zero string
-            return None
-        return self._bump(x, slot, -1)
+        eps, phi, e, f = [], [], [], []
+        for i in self.datum.indices():
+            top, lower, upper = self._scan(i, x)
+            eps.append(top)
+            phi.append(self.phi(i, b))
+            e.append(self._bump(x, upper, -1) if upper else None)
+            f.append(self._bump(x, lower, +1))
+        return self.wt(b), tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
 def realize_binfinity(datum, seq: IndexSequence, depth: int) -> CrystalGraph:

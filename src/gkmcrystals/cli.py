@@ -6,7 +6,8 @@
     gkmc char  (same selectors, prints the weight-multiplicity table)
     gkmc check {axioms|assoc|oracle-rank2|oracle-monster|projection|embedding|profile} ...
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure (a bundle that made no
+check counts as one), 2 usage or parse error.
 Generation output is byte-identical across runs for identical options;
 randomized checks print the seed they ran with.
 """
@@ -176,6 +177,8 @@ def cmd_char(args) -> int:
 
 
 def _report_outcome(name, reports) -> int:
+    """Print a bundle's verdict line; a bundle that made no check fails,
+    since it verified nothing."""
     violations = sum(len(r.violations) + len(r.coverage_errors) for r in reports)
     skipped = sum(r.skipped for r in reports)
     checked = sum(r.checked for r in reports)
@@ -185,6 +188,9 @@ def _report_outcome(name, reports) -> int:
             print(f"  {line}")
         if not r.ok:
             break
+    if checked == 0:
+        print("  nothing was checked")
+        return FAIL
     return OK if violations == 0 else FAIL
 
 

@@ -156,7 +156,7 @@ class _SequenceTables:
     def __init__(self, model, length: int):
         seq, cartan = model.sequence, model.datum.cartan
         self.sequence = seq
-        self.idx = idx = [seq.at(k) for k in range(1, length + 1)]
+        self.idx = idx = seq.indices(length)[:length]
         self.pair = [[row[i] for i in idx] for row in cartan]
         last = {}
         self.prev = prev = []

@@ -30,7 +30,8 @@ from .cartan import NEG_INF, BorcherdsCartanDatum, Weight
 
 
 class Crystal:
-    """Interface: wt / eps / phi / e / f over hashable elements.
+    """Interface: wt / eps / phi / e / f over hashable elements, and
+    ``stats``, which returns all of them for one element.
 
     ``e`` and ``f`` return None for the crystal zero.  Implementations
     are pure functions of immutable data and safe to share.
@@ -56,6 +57,24 @@ class Crystal:
 
     def wt_i(self, i: int, b) -> int:
         return self.datum.pairing(i, self.wt(b))
+
+    def stats(self, b) -> tuple:
+        """All statistics of b at once: (wt, eps, phi, e targets,
+        f targets), the last four as tuples indexed by i.
+
+        This default calls the five operators; a crystal whose operators
+        share work, such as ``StringCrystal``, overrides it to do that
+        work once per node.  Graph generation reads every node through
+        this method.
+        """
+        indices = self.datum.indices()
+        return (
+            self.wt(b),
+            tuple(self.eps(i, b) for i in indices),
+            tuple(self.phi(i, b) for i in indices),
+            tuple(self.e(i, b) for i in indices),
+            tuple(self.f(i, b) for i in indices),
+        )
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,8 @@ class StringElement:
     seq_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(_as_int(v) for v in self.x))
-        if any(v < 0 for v in self.x):
+        object.__setattr__(self, "x", tuple(map(_as_int, self.x)))
+        if self.x and min(self.x) < 0:
             raise ValueError("string entries must be nonnegative")
         if self.x and self.x[-1] == 0:
             raise ValueError("strings must carry no trailing zeros")

@@ -2,9 +2,11 @@
 
 A graph holds the elements produced by a bounded generation pass, the
 full lowering fan of every interior node, the raising results of every
-node, and cached wt / eps / phi.  Truncation is explicit: lowering
-successors that fall outside the generated set are recorded as CUT and
-any check that would need them is skipped, never guessed.
+node, and cached wt / eps / phi.  A node's cached statistics and both
+of its fans come from one ``crystal.stats`` call.  Truncation is
+explicit: lowering successors that fall outside the generated set are
+recorded as CUT and any check that would need them is skipped, never
+guessed.
 
 Two generation modes:
 
@@ -120,50 +122,25 @@ class CrystalGraph:
         return incoming
 
 
-def _annotate(graph, crystal, mode):
-    """Fill stats and operator fans.  mode is "bfs" or "universe"."""
-    datum = crystal.datum
-    indices = range(datum.size)
-    bound = graph.depth_bound
-    for u, node in enumerate(graph.nodes):
-        elt = node.elt
-        node.wt = crystal.wt(elt)
-        node.eps = tuple(crystal.eps(i, elt) for i in indices)
-        node.phi = tuple(crystal.phi(i, elt) for i in indices)
-        e_ids = []
-        for i in indices:
-            r = crystal.e(i, elt)
-            if r is None:
-                e_ids.append(None)
-            elif r in graph.ids:
-                e_ids.append(graph.ids[r])
-            else:
-                e_ids.append(CUT)
-                if mode == "bfs":
-                    graph.closure_failures.append((u, i, r))
-        node.e_ids = tuple(e_ids)
-        f_ids = []
-        at_bound = mode == "bfs" and bound is not None and node.depth == bound
-        for i in indices:
-            r = crystal.f(i, elt)
-            if r is None:
-                f_ids.append(None)
-            elif at_bound:
-                f_ids.append(CUT)
-            elif r in graph.ids:
-                f_ids.append(graph.ids[r])
-            elif mode == "universe":
-                f_ids.append(CUT)
-            else:
-                raise GraphStructureError(
-                    f"interior node {u} has an uncollected lowering successor {r!r}"
-                )
-        node.f_ids = tuple(f_ids)
-        if mode == "bfs":
-            node.frontier = bool(at_bound)
+def _annotate(graph, u, stats, mode) -> tuple:
+    """Cache node u's wt / eps / phi and map its raising fan to node ids,
+    all from the node's ``crystal.stats`` tuple; return its lowering
+    targets.  mode is "bfs" or "universe"."""
+    node = graph.nodes[u]
+    node.wt, node.eps, node.phi, e_targets, f_targets = stats
+    ids = graph.ids
+    e_ids = []
+    for i, r in enumerate(e_targets):
+        if r is None:
+            e_ids.append(None)
+        elif r in ids:
+            e_ids.append(ids[r])
         else:
-            node.frontier = any(v is CUT for v in f_ids)
-    return graph
+            e_ids.append(CUT)
+            if mode == "bfs":
+                graph.closure_failures.append((u, i, r))
+    node.e_ids = tuple(e_ids)
+    return f_targets
 
 
 def bfs_component(crystal, root, depth: int) -> CrystalGraph:
@@ -171,25 +148,48 @@ def bfs_component(crystal, root, depth: int) -> CrystalGraph:
 
     Layers are expanded in index order and each new layer is sorted by
     element order before ids are assigned, so ids, edges and exports are
-    reproducible byte for byte.
+    reproducible byte for byte.  Each node is read with one
+    ``crystal.stats`` call, whose lowering targets both expand the next
+    layer and, once its ids exist, fill the node's lowering fan; only one
+    layer of unmapped targets is held at a time.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     graph = CrystalGraph(crystal.datum, crystal, depth_bound=depth)
+    ids, nodes = graph.ids, graph.nodes
     graph.add_node(root, depth=0)
     layer = [0]
-    for d in range(1, depth + 1):
-        found = set()
+    for d in range(depth + 1):
+        found = {}
+        pending = []  # (node id, lowering targets) awaiting the next layer's ids
         for u in layer:
-            elt = graph.nodes[u].elt
-            for i in range(crystal.datum.size):
-                r = crystal.f(i, elt)
-                if r is not None and r not in graph.ids:
-                    found.add(r)
-        if not found:
+            targets = _annotate(graph, u, crystal.stats(nodes[u].elt), "bfs")
+            if d == depth:
+                nodes[u].f_ids = tuple(None if r is None else CUT for r in targets)
+                nodes[u].frontier = True
+            else:
+                pending.append(
+                    (u, [r if r is None or r in ids else found.setdefault(r, r) for r in targets])
+                )
+        start = len(nodes)
+        for elt in sorted(found, key=sort_key):
+            graph.add_node(elt, depth=d + 1)
+        for u, targets in pending:
+            nodes[u].f_ids = tuple(None if r is None else ids[r] for r in targets)
+        layer = range(start, len(nodes))
+        if not layer:
             break
-        layer = [graph.add_node(elt, depth=d) for elt in sorted(found, key=sort_key)]
-    return _annotate(graph, crystal, "bfs")
+    # a raising result generated after its node was annotated (only an
+    # operator that breaks the weight rule returns one) is mapped now
+    failures, graph.closure_failures = graph.closure_failures, []
+    for u, i, r in failures:
+        if r in ids:
+            e_ids = list(nodes[u].e_ids)
+            e_ids[i] = ids[r]
+            nodes[u].e_ids = tuple(e_ids)
+        else:
+            graph.closure_failures.append((u, i, r))
+    return graph
 
 
 def graph_from_universe(crystal, elements) -> CrystalGraph:
@@ -203,7 +203,11 @@ def graph_from_universe(crystal, elements) -> CrystalGraph:
         graph.add_node(elt)
     if not graph.nodes:
         raise ValueError("universe must be nonempty")
-    return _annotate(graph, crystal, "universe")
+    for u, node in enumerate(graph.nodes):
+        targets = _annotate(graph, u, crystal.stats(node.elt), "universe")
+        node.f_ids = tuple(None if r is None else graph.ids.get(r, CUT) for r in targets)
+        node.frontier = CUT in node.f_ids
+    return graph
 
 
 def validate_structure(graph):

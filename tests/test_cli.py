@@ -240,6 +240,16 @@ class TestCheck:
         assert main(["check", "oracle-rank2", "--abc", "1,1", "--depth", "3"]) == 2
 
 
+class TestVacuousBundleFails:
+    def test_profile_without_imaginary_index(self, tmp_path, capsys):
+        path = tmp_path / "real.json"
+        G.save_datum_file(path, G.make_datum(["a", "b"], [[2, -1], [-1, 2]]))
+        assert main(["check", "profile", "--datum", str(path), "--depth", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "category profile: 0 violations, 0 skipped (0 checks)" in out
+        assert "nothing was checked" in out
+
+
 class TestUsage:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
