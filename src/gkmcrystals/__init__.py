@@ -81,7 +81,6 @@ from .closed_form import (
     Rank2Params,
     compare_predicate_with_bfs,
     iter_bounded_strings,
-    known_j_coefficients,
     monster_datum,
     rank2_datum,
     rank2_highest_weight_member,

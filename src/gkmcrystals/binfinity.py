@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import BorcherdsCartanDatum, Weight
-from .checks import CheckReport, MorphismWitness, check_morphism
+from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
 from .crystals import (
     Crystal,
     ElementaryCrystal,
@@ -443,19 +443,10 @@ def highest_weight_projection(hw_graph, binf_graph) -> ProjectionResult:
         rep.add(hw_graph.root, None, "projection_root", binf_graph.root,
                 mapping.get(hw_graph.root))
 
-    seen = {}
-    for u in sorted(mapping):
-        tgt = mapping[u]
-        rep.checked += 1
-        if tgt in seen:
-            rep.add(u, None, "injective", f"distinct from node {seen[tgt]}", tgt)
-        else:
-            seen[tgt] = u
+    rep.merge(check_injective(mapping))
 
-    for u, node in enumerate(hw_graph.nodes):
-        if u not in mapping:
-            continue
-        img = binf_graph.nodes[mapping[u]]
+    for u, tgt in mapping.items():
+        node, img = hw_graph.nodes[u], binf_graph.nodes[tgt]
         rep.checked += 1
         if img.wt != node.wt - lam:
             rep.add(u, None, "projection_wt_shift", node.wt - lam, img.wt)

@@ -7,13 +7,20 @@ an explicit node-to-node witness.  Reports are machine-readable lists
 of (node, index, law, expected, found); relations that would need a
 lowering successor cut off by the truncation are skipped and counted,
 so a clean run reads "0 violations, k skipped".
+
+Each law about an edge is written once for both directions: s = +1
+raises along e_i, s = -1 lowers along f_i.  A step in direction s moves
+the weight by s alpha_i and (eps_i, phi_i) by s (-1, +1) at a real index,
+s (0, a_ii) at an imaginary one; law names carry the direction as an
+``e_``/``f_`` prefix.  ``check_injective`` is the one injectivity check,
+shared by ``check_morphism`` and the highest-weight projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import NEG_INF, Weight, is_neg_inf
+from .cartan import Weight, is_neg_inf
 from .graph import CUT, validate_structure
 
 
@@ -64,27 +71,37 @@ class CheckReport:
         return out
 
 
+# The two directions of a crystal edge: s = +1 raises along e_i, s = -1
+# lowers along f_i.  Each entry: (law prefix, s, fan, reverse fan).
+_DIRECTIONS = (("e", 1, "e_ids", "f_ids"), ("f", -1, "f_ids", "e_ids"))
+
+
 def check_axioms(graph) -> CheckReport:
     """Verify the crystal laws on every node of a finite graph.
 
     Checked per node and index, skipping anything that involves a cut
     successor:
 
-      * weight steps:  wt(e_i b) = wt b + alpha_i, wt(f_i b) = wt b - alpha_i;
       * the statistics identity phi_i = eps_i + <h_i, wt b>, read in
         Z ∪ {-inf} (both sides -inf counts as equal);
-      * duality: stored raising and lowering fans invert each other;
-      * statistic steps along edges, split real (eps -+1, phi +-1)
-        versus imaginary (eps constant, phi shifts by a_ii);
-      * dead ends: phi_i = -inf forces e_i b = f_i b = 0.
+      * dead ends: phi_i = -inf forces e_i b = f_i b = 0;
+      * per direction s (e before f), along a nonzero edge b -> b':
+        weight step wt b' = wt b + s alpha_i, statistic step (eps -s, phi
+        +s) for real i and (eps constant, phi + s a_ii) for imaginary i,
+        and duality: the reverse fan of b' leads back to b.
     """
     validate_structure(graph)
     datum = graph.datum
     rep = CheckReport()
+    steps = []  # per index and direction: (law, fan, reverse fan, s alpha_i, s d_eps, s d_phi)
+    for i in datum.indices():
+        alpha = datum.alpha(i)
+        d_eps, d_phi = (-1, 1) if datum.is_real(i) else (0, datum.a(i, i))
+        steps.append([(law, fan, back, alpha.scaled(s), s * d_eps, s * d_phi)
+                      for law, s, fan, back in _DIRECTIONS])
     for u, node in enumerate(graph.nodes):
         for i in datum.indices():
             eps_u, phi_u = node.eps[i], node.phi[i]
-            real = datum.is_real(i)
 
             rep.checked += 1
             expected_phi = eps_u + datum.pairing(i, node.wt)
@@ -100,47 +117,23 @@ def check_axioms(graph) -> CheckReport:
                         if entry is not None:
                             rep.add(u, i, "neg_inf_dead_end", None, entry)
 
-            w = node.e_ids[i]
-            if w is CUT:
-                rep.skipped += 1
-            elif w is not None:
-                up = graph.nodes[w]
-                rep.checked += 1
-                if up.wt != node.wt + datum.alpha(i):
-                    rep.add(u, i, "e_weight_step", node.wt + datum.alpha(i), up.wt)
-                rep.checked += 1
-                if real:
-                    want = (eps_u - 1, phi_u + 1)
-                else:
-                    want = (eps_u, phi_u + datum.a(i, i))
-                got = (up.eps[i], up.phi[i])
-                if got != want:
-                    rep.add(u, i, "e_stat_step", want, got)
-                back = up.f_ids[i]
-                if back is CUT:
+            for law, fan, back_fan, step, d_eps, d_phi in steps[i]:
+                v = getattr(node, fan)[i]
+                if v is CUT:
                     rep.skipped += 1
-                else:
-                    rep.checked += 1
-                    if back != u:
-                        rep.add(u, i, "ef_duality", u, back)
-
-            v = node.f_ids[i]
-            if v is CUT:
-                rep.skipped += 1
-            elif v is not None:
-                dn = graph.nodes[v]
-                rep.checked += 1
-                if dn.wt != node.wt - datum.alpha(i):
-                    rep.add(u, i, "f_weight_step", node.wt - datum.alpha(i), dn.wt)
-                rep.checked += 1
-                if real:
-                    want = (eps_u + 1, phi_u - 1)
-                else:
-                    want = (eps_u, phi_u - datum.a(i, i))
-                got = (dn.eps[i], dn.phi[i])
+                    continue
+                if v is None:
+                    continue
+                nb = graph.nodes[v]
+                rep.checked += 2
+                want_wt = node.wt + step
+                if nb.wt != want_wt:
+                    rep.add(u, i, f"{law}_weight_step", want_wt, nb.wt)
+                want = (eps_u + d_eps, phi_u + d_phi)
+                got = (nb.eps[i], nb.phi[i])
                 if got != want:
-                    rep.add(u, i, "f_stat_step", want, got)
-                back = dn.e_ids[i]
+                    rep.add(u, i, f"{law}_stat_step", want, got)
+                back = getattr(nb, back_fan)[i]
                 if back is CUT:
                     rep.skipped += 1
                 else:
@@ -223,51 +216,34 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
             if img.phi[i] != expected_phi:
                 rep.add(u, i, "morphism_phi", expected_phi, img.phi[i])
 
-            sv, dv = node.f_ids[i], img.f_ids[i]
-            if sv is CUT:
-                rep.skipped += 1
-            elif sv is None:
-                if witness.strict:
-                    if dv is CUT:
-                        rep.skipped += 1
-                    else:
-                        rep.checked += 1
-                        if dv is not None:
-                            rep.add(u, i, "f_zero", None, dv)
-            else:
-                if sv not in mapping or dv is CUT:
+            for law, _, fan, _ in reversed(_DIRECTIONS):  # f laws are reported before e laws
+                sv, dv = getattr(node, fan)[i], getattr(img, fan)[i]
+                if sv is None and not witness.strict:
+                    continue
+                # a source edge to an unmapped node is as unknown as a cut one
+                want = None if sv is None else mapping.get(sv, CUT)
+                if sv is CUT or want is CUT or dv is CUT:
                     rep.skipped += 1
-                else:
-                    rep.checked += 1
-                    if dv != mapping[sv]:
-                        rep.add(u, i, "f_commute", mapping[sv], dv)
-
-            sw, dw = node.e_ids[i], img.e_ids[i]
-            if sw is CUT:
-                rep.skipped += 1
-            elif sw is None:
-                if witness.strict:
-                    if dw is CUT:
-                        rep.skipped += 1
-                    else:
-                        rep.checked += 1
-                        if dw is not None:
-                            rep.add(u, i, "e_zero", None, dw)
-            else:
-                if sw not in mapping or dw is CUT:
-                    rep.skipped += 1
-                else:
-                    rep.checked += 1
-                    if dw != mapping[sw]:
-                        rep.add(u, i, "e_commute", mapping[sw], dw)
+                    continue
+                rep.checked += 1
+                if dv != want:
+                    rep.add(u, i, f"{law}_zero" if sv is None else f"{law}_commute", want, dv)
 
     if witness.embedding:
-        seen = {}
-        for u in sorted(mapping):
-            tgt = mapping[u]
-            rep.checked += 1
-            if tgt in seen:
-                rep.add(u, None, "injective", f"distinct from node {seen[tgt]}", tgt)
-            else:
-                seen[tgt] = u
+        rep.merge(check_injective(mapping))
+    return rep
+
+
+def check_injective(mapping) -> CheckReport:
+    """One check per mapped node, in node order; a node whose target an
+    earlier node already has violates "injective"."""
+    rep = CheckReport()
+    seen = {}
+    for u in sorted(mapping):
+        tgt = mapping[u]
+        rep.checked += 1
+        if tgt in seen:
+            rep.add(u, None, "injective", f"distinct from node {seen[tgt]}", tgt)
+        else:
+            seen[tgt] = u
     return rep

@@ -3,6 +3,7 @@
     gkmc validate --datum D.json
     gkmc gen   --datum D.json --mode {binf|hw} [--lambda "2,0"] --depth N
                [--seq SPEC] [--format {json|dot}] [--out PATH]
+               (--lambda only with --mode hw)
     gkmc char  (same selectors, prints the weight-multiplicity table)
     gkmc check {axioms|assoc|oracle-rank2|oracle-monster|projection|embedding|profile} ...
 
@@ -66,7 +67,10 @@ def _load_datum(path):
         raise UsageError(f"cannot read datum file {path}: {exc}") from exc
 
 
-def _parse_lambda(datum, text):
+def _dominant_lambda(datum, text):
+    """The weight sum_i c_i Lambda_i of a "c_1,...,c_n" text (zero when
+    absent); a usage error unless it parses, has one coefficient per
+    index and is dominant."""
     if text is None:
         return datum.zero_weight()
     try:
@@ -75,7 +79,10 @@ def _parse_lambda(datum, text):
         raise UsageError(f"bad lambda {text!r}: {exc}") from exc
     if len(coeffs) != datum.size:
         raise UsageError(f"lambda needs {datum.size} coefficients, got {len(coeffs)}")
-    return datum.weight(lam=coeffs)
+    lam = datum.weight(lam=coeffs)
+    if not datum.is_dominant(lam):
+        raise UsageError(f"lambda {text!r} is not dominant for this datum")
+    return lam
 
 
 def _sequence_from_file(datum, file_spec):
@@ -113,15 +120,18 @@ def _resolve_sequence(datum, seq_arg, file_spec):
     raise UsageError(f"unknown sequence spec {seq_arg!r}")
 
 
-def _generate(args):
+def _datum_and_sequence(args):
     datum, file_spec = _load_datum(args.datum)
-    seq = _resolve_sequence(datum, args.seq, file_spec)
+    return datum, _resolve_sequence(datum, args.seq, file_spec)
+
+
+def _generate(args):
+    if args.lam is not None and args.mode != "hw":
+        raise UsageError("--lambda needs --mode hw")
+    datum, seq = _datum_and_sequence(args)
     if args.mode == "binf":
         return realize_binfinity(datum, seq, args.depth)
-    lam = _parse_lambda(datum, args.lam)
-    if not datum.is_dominant(lam):
-        raise UsageError(f"lambda {args.lam!r} is not dominant for this datum")
-    return realize_highest_weight(datum, seq, lam, args.depth)
+    return realize_highest_weight(datum, seq, _dominant_lambda(datum, args.lam), args.depth)
 
 
 def _emit(text, out_path):
@@ -200,122 +210,102 @@ def _seeded_rng(args):
     return random.Random(seed)
 
 
-def cmd_check(args) -> int:
-    sub = args.subcommand
+def cmd_axioms(args) -> int:
+    datum, _ = _load_datum(args.datum)
+    rng = _seeded_rng(args)
+    reports = [check_axioms(random_universe_graph(rng, datum)) for _ in range(args.trials)]
+    return _report_outcome(f"axioms over {args.trials} random crystals", reports)
 
-    if sub == "axioms":
-        datum, _ = _load_datum(args.datum)
-        rng = _seeded_rng(args)
-        reports = [
-            check_axioms(random_universe_graph(rng, datum)) for _ in range(args.trials)
-        ]
-        return _report_outcome(f"axioms over {args.trials} random crystals", reports)
 
-    if sub == "assoc":
-        datum, _ = _load_datum(args.datum)
-        rng = _seeded_rng(args)
-        reports = []
-        for _ in range(args.trials):
-            triple = [random_factor_graph(rng, datum) for _ in range(3)]
-            reports.append(verify_associativity(*triple))
-        return _report_outcome(f"associativity over {args.trials} random triples", reports)
+def cmd_assoc(args) -> int:
+    datum, _ = _load_datum(args.datum)
+    rng = _seeded_rng(args)
+    reports = []
+    for _ in range(args.trials):
+        triple = [random_factor_graph(rng, datum) for _ in range(3)]
+        reports.append(verify_associativity(*triple))
+    return _report_outcome(f"associativity over {args.trials} random triples", reports)
 
-    if sub == "oracle-rank2":
+
+def _oracle_outcome(title, report, out_path) -> int:
+    """Print an oracle's verdict line and write its JSON report to ``--out``."""
+    print(f"{title}: {report.summary()}")
+    if out_path:
+        _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", out_path)
+    return OK if report.ok else FAIL
+
+
+def cmd_oracle_rank2(args) -> int:
+    try:
+        a, b, c = (int(v) for v in args.abc.split(","))
+        params = Rank2Params(a, b, c)
+    except ValueError as exc:
+        raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc
+    datum = rank2_datum(params)
+    seq = cyclic_sequence(datum)
+    if args.lam is None:
+        lam, member = None, lambda x: rank2_member(x, params)
+    else:
+        lam = _dominant_lambda(datum, args.lam)
+        member = lambda x: rank2_highest_weight_member(x, params, datum, lam)
+    report = compare_predicate_with_bfs(member, datum, seq, args.depth, lam=lam)
+    return _oracle_outcome(f"oracle-rank2 a={a} b={b} c={c}", report, args.out)
+
+
+def cmd_oracle_monster(args) -> int:
+    try:
+        mults = tuple(int(v) for v in args.mult.split(","))
+        params = MonsterParams(args.level, mults)
+    except ValueError as exc:
+        raise UsageError(f"bad monster parameters: {exc}") from exc
+    model = MonsterModel(params)
+    for n in range(args.level + 1):
+        position = monster_real_position(n, mults)
+        if model.sequence.at(position) != 0:
+            print(f"real-slot check failed at n={n}")
+            return FAIL
+    lam = None
+    if args.lam_real is not None:
+        lam = model.datum.fundamental(0).scaled(args.lam_real)
+    elif args.lam is not None:
+        lam = _dominant_lambda(model.datum, args.lam)
+    member = model.member if lam is None else lambda x: model.highest_weight_member(x, lam)
+    report = compare_predicate_with_bfs(member, model.datum, model.sequence, args.depth, lam=lam)
+    return _oracle_outcome(f"oracle-monster level={args.level} m={args.mult}", report, args.out)
+
+
+def cmd_projection(args) -> int:
+    datum, seq = _datum_and_sequence(args)
+    lam = _dominant_lambda(datum, args.lam)
+    hw = realize_highest_weight(datum, seq, lam, args.depth)
+    binf = realize_binfinity(datum, seq, args.depth)
+    result = highest_weight_projection(hw, binf)
+    return _report_outcome(f"projection of {len(hw)} nodes into {len(binf)}", [result.report])
+
+
+def cmd_embedding(args) -> int:
+    datum, seq = _datum_and_sequence(args)
+    binf = realize_binfinity(datum, seq, args.depth)
+    if args.index is None:
+        indices = list(datum.indices())
+    else:
         try:
-            a, b, c = (int(v) for v in args.abc.split(","))
-            params = Rank2Params(a, b, c)
-        except ValueError as exc:
-            raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc
-        datum = rank2_datum(params)
-        seq = cyclic_sequence(datum)
-        if args.lam is None:
-            report = compare_predicate_with_bfs(
-                lambda x: rank2_member(x, params), datum, seq, args.depth
-            )
-        else:
-            lam = _parse_lambda(datum, args.lam)
-            if not datum.is_dominant(lam):
-                raise UsageError(f"lambda {args.lam!r} is not dominant")
-            report = compare_predicate_with_bfs(
-                lambda x: rank2_highest_weight_member(x, params, datum, lam),
-                datum, seq, args.depth, lam=lam,
-            )
-        print(f"oracle-rank2 a={a} b={b} c={c}: {report.summary()}")
-        if args.out:
-            _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.out)
-        return OK if report.ok else FAIL
-
-    if sub == "oracle-monster":
-        try:
-            mults = tuple(int(v) for v in args.mult.split(","))
-            params = MonsterParams(args.level, mults)
-        except ValueError as exc:
-            raise UsageError(f"bad monster parameters: {exc}") from exc
-        model = MonsterModel(params)
-        for n in range(args.level + 1):
-            position = monster_real_position(n, mults)
-            if model.sequence.at(position) != 0:
-                print(f"real-slot check failed at n={n}")
-                return FAIL
-        if args.lam is None and args.lam_real is None:
-            report = compare_predicate_with_bfs(
-                model.member, model.datum, model.sequence, args.depth
-            )
-        else:
-            if args.lam_real is not None:
-                lam = model.datum.fundamental(0).scaled(args.lam_real)
-            else:
-                lam = _parse_lambda(model.datum, args.lam)
-            if not model.datum.is_dominant(lam):
-                raise UsageError("lambda is not dominant")
-            report = compare_predicate_with_bfs(
-                lambda x: model.highest_weight_member(x, lam),
-                model.datum, model.sequence, args.depth, lam=lam,
-            )
-        print(f"oracle-monster level={args.level} m={args.mult}: {report.summary()}")
-        if args.out:
-            _emit(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.out)
-        return OK if report.ok else FAIL
-
-    if sub == "projection":
-        datum, file_spec = _load_datum(args.datum)
-        seq = _resolve_sequence(datum, args.seq, file_spec)
-        lam = _parse_lambda(datum, args.lam)
-        if not datum.is_dominant(lam):
-            raise UsageError(f"lambda {args.lam!r} is not dominant")
-        hw = realize_highest_weight(datum, seq, lam, args.depth)
-        binf = realize_binfinity(datum, seq, args.depth)
-        result = highest_weight_projection(hw, binf)
-        return _report_outcome(
-            f"projection of {len(hw)} nodes into {len(binf)}", [result.report]
+            indices = [datum.index_of(args.index)]
+        except KeyError as exc:
+            raise UsageError(f"bad --index: {exc.args[0]}") from exc
+    reports = []
+    for i in indices:
+        result = crystal_embedding(binf, i)
+        reports.append(result.report)
+        print(
+            f"index {datum.index_names[i]}: {len(result.witness.mapping)} nodes "
+            f"into {len(result.target)}, {result.report.summary()}"
         )
+    return _report_outcome("embedding", reports)
 
-    if sub == "embedding":
-        datum, file_spec = _load_datum(args.datum)
-        seq = _resolve_sequence(datum, args.seq, file_spec)
-        binf = realize_binfinity(datum, seq, args.depth)
-        if args.index is None:
-            indices = list(datum.indices())
-        else:
-            try:
-                indices = [datum.index_of(args.index)]
-            except KeyError as exc:
-                raise UsageError(f"bad --index: {exc.args[0]}") from exc
-        reports = []
-        for i in indices:
-            result = crystal_embedding(binf, i)
-            reports.append(result.report)
-            print(
-                f"index {datum.index_names[i]}: {len(result.witness.mapping)} nodes "
-                f"into {len(result.target)}, {result.report.summary()}"
-            )
-        return _report_outcome("embedding", reports)
 
-    if sub == "profile":
-        graph = _generate(args)
-        return _report_outcome("category profile", [check_category_profile(graph)])
-
-    raise UsageError(f"unknown check subcommand {sub!r}")
+def cmd_profile(args) -> int:
+    return _report_outcome("category profile", [check_category_profile(_generate(args))])
 
 
 def _nonnegative_int(text) -> int:
@@ -336,13 +326,20 @@ def _add_generation_options(parser, with_output):
     parser.add_argument("--datum", required=True, help="datum JSON file")
     parser.add_argument("--mode", choices=("binf", "hw"), default="binf")
     parser.add_argument("--lambda", dest="lam", default=None,
-                        help="comma-separated fundamental-weight coefficients")
+                        help="comma-separated fundamental-weight coefficients (hw mode only)")
     parser.add_argument("--depth", type=_nonnegative_int, required=True)
     parser.add_argument("--seq", default=None,
                         help='cyclic | monster | "explicit:p1,p2;c1,c2"')
     if with_output:
         parser.add_argument("--format", choices=("json", "dot"), default="json")
         parser.add_argument("--out", default=None)
+
+
+def _command(subs, name, handler, **kwargs):
+    """A subcommand parser whose ``handler`` default is what ``main`` calls."""
+    parser = subs.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,74 +349,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("validate", help="validate a Borcherds-Cartan datum file")
+    p = _command(subs, "validate", cmd_validate, help="validate a Borcherds-Cartan datum file")
     p.add_argument("--datum", required=True)
 
-    p = subs.add_parser("gen", help="generate a component graph (JSON or DOT)")
+    p = _command(subs, "gen", cmd_gen, help="generate a component graph (JSON or DOT)")
     _add_generation_options(p, with_output=True)
 
-    p = subs.add_parser("char", help="print the weight-multiplicity table")
+    p = _command(subs, "char", cmd_char, help="print the weight-multiplicity table")
     _add_generation_options(p, with_output=False)
 
     p = subs.add_parser("check", help="run a verification bundle")
     checks = p.add_subparsers(dest="subcommand", required=True)
 
-    c = checks.add_parser("axioms")
+    c = _command(checks, "axioms", cmd_axioms)
     c.add_argument("--datum", required=True)
     c.add_argument("--trials", type=_positive_int, default=100)
     c.add_argument("--seed", type=int, default=None)
 
-    c = checks.add_parser("assoc")
+    c = _command(checks, "assoc", cmd_assoc)
     c.add_argument("--datum", required=True)
     c.add_argument("--trials", type=_positive_int, default=20)
     c.add_argument("--seed", type=int, default=None)
 
-    c = checks.add_parser("oracle-rank2")
+    c = _command(checks, "oracle-rank2", cmd_oracle_rank2)
     c.add_argument("--abc", required=True, help='rank-2 parameters "a,b,c"')
     c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--lambda", dest="lam", default=None)
     c.add_argument("--out", default=None)
 
-    c = checks.add_parser("oracle-monster")
+    c = _command(checks, "oracle-monster", cmd_oracle_monster)
     c.add_argument("--level", type=int, required=True)
     c.add_argument("--mult", required=True, help='multiplicities "m1,m2,..."')
     c.add_argument("--depth", type=_nonnegative_int, required=True)
-    c.add_argument("--lambda", dest="lam", default=None)
-    c.add_argument("--lambda-real", dest="lam_real", type=int, default=None,
-                   help="coefficient of the real fundamental weight")
+    weight = c.add_mutually_exclusive_group()
+    weight.add_argument("--lambda", dest="lam", default=None)
+    weight.add_argument("--lambda-real", dest="lam_real", type=_nonnegative_int, default=None,
+                        help="coefficient of the real fundamental weight")
     c.add_argument("--out", default=None)
 
-    c = checks.add_parser("projection")
+    c = _command(checks, "projection", cmd_projection)
     c.add_argument("--datum", required=True)
     c.add_argument("--lambda", dest="lam", required=True)
     c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--seq", default=None)
 
-    c = checks.add_parser("embedding")
+    c = _command(checks, "embedding", cmd_embedding)
     c.add_argument("--datum", required=True)
     c.add_argument("--depth", type=_nonnegative_int, required=True)
     c.add_argument("--seq", default=None)
     c.add_argument("--index", default=None, help="index name (default: all)")
 
-    c = checks.add_parser("profile")
+    c = _command(checks, "profile", cmd_profile)
     _add_generation_options(c, with_output=False)
 
     return parser
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "gen": cmd_gen,
-    "char": cmd_char,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -293,13 +293,6 @@ class MonsterModel:
         return True
 
 
-def known_j_coefficients() -> dict:
-    """Coefficients c(i) of j(q) - 744 used for display and sanity checks
-    of user-supplied multiplicities; full-scale index sets are far beyond
-    enumeration, so models take small stand-in multiplicities."""
-    return {-1: 1, 1: 196884, 2: 21493760}
-
-
 def _compositions_lex(total: int, positions: int):
     """All tuples of ``positions`` nonnegative ints summing to ``total``,
     in ascending lexicographic order."""

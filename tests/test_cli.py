@@ -280,9 +280,15 @@ class TestBadInputsExitTwo:
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;zz"],
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;1"],
         ["check", "embedding", "--datum", "{d1}", "--depth", "1", "--index", "nope"],
+        ["gen", "--datum", "{d1}", "--mode", "binf", "--lambda", "garbage", "--depth", "1"],
+        ["check", "profile", "--datum", "{d1}", "--lambda", "zz", "--depth", "1"],
+        ["check", "oracle-monster", "--level", "2", "--mult", "2,1", "--depth", "2",
+         "--lambda", "garbage", "--lambda-real", "1"],
     ], ids=[
         "oracle-rank2-depth", "oracle-monster-depth", "gen-depth", "axioms-trials",
         "assoc-trials", "unknown-index-name", "index-never-recurs", "embedding-index",
+        "lambda-without-hw-mode", "profile-lambda-without-hw-mode",
+        "lambda-and-lambda-real",
     ])
     def test_rejected(self, d1_file, argv):
         assert exit_code([d1_file if a == "{d1}" else a for a in argv]) == 2

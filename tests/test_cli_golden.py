@@ -1,0 +1,141 @@
+"""Exact stdout, exit code and ``--out`` text of ``gkmc`` on tiny inputs.
+
+``cli_golden.json`` holds the expected output of every case below: the
+``gen`` exports (JSON and DOT), ``char``, ``validate`` and every
+``check`` bundle, including failing and rejected runs.  Argument tokens
+``{d1}``, ``{d2}``, ``{monster}`` and ``{real}`` name datum files written
+by ``write_datum_files``; ``{out}`` names an output file in the same
+directory.  A change to argument handling or dispatch that moves one
+byte of output fails here.  For an intended change of output, rewrite
+the file with ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+import gkmcrystals as G
+from gkmcrystals.cli import main
+
+from conftest import make_d1, make_d2, make_toy_monster
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+CASES = {
+    "validate": ["validate", "--datum", "{d1}"],
+    "gen-binf-json": ["gen", "--datum", "{d1}", "--depth", "3"],
+    "gen-binf-dot": ["gen", "--datum", "{d1}", "--depth", "3", "--format", "dot"],
+    "gen-hw-json": ["gen", "--datum", "{d2}", "--mode", "hw", "--lambda", "2", "--depth", "3"],
+    "gen-hw-dot": [
+        "gen", "--datum", "{d1}", "--mode", "hw", "--lambda", "1,1", "--depth", "2",
+        "--format", "dot",
+    ],
+    "gen-monster-dot": [
+        "gen", "--datum", "{monster}", "--seq", "monster", "--depth", "2", "--format", "dot",
+    ],
+    "gen-explicit-json": ["gen", "--datum", "{d1}", "--seq", "explicit:;2,1", "--depth", "2"],
+    "gen-out": ["gen", "--datum", "{d1}", "--depth", "2", "--out", "{out}"],
+    "gen-not-dominant": ["gen", "--datum", "{d1}", "--mode", "hw", "--lambda=-1,0", "--depth", "2"],
+    "gen-bad-lambda": ["gen", "--datum", "{d1}", "--mode", "hw", "--lambda", "x", "--depth", "2"],
+    "char-hw": ["char", "--datum", "{d1}", "--mode", "hw", "--lambda", "1,1", "--depth", "3"],
+    "char-monster": ["char", "--datum", "{monster}", "--depth", "2"],
+    "check-axioms": ["check", "axioms", "--datum", "{d1}", "--trials", "5", "--seed", "7"],
+    "check-assoc": ["check", "assoc", "--datum", "{monster}", "--trials", "3", "--seed", "3"],
+    "check-oracle-rank2": ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "3"],
+    "check-oracle-rank2-hw": [
+        "check", "oracle-rank2", "--abc", "1,2,2", "--depth", "3", "--lambda", "1,0",
+        "--out", "{out}",
+    ],
+    "check-oracle-rank2-not-dominant": [
+        "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "3", "--lambda=-1,0",
+    ],
+    "check-oracle-monster": [
+        "check", "oracle-monster", "--level", "2", "--mult", "2,1", "--depth", "2",
+        "--out", "{out}",
+    ],
+    "check-oracle-monster-real": [
+        "check", "oracle-monster", "--level", "2", "--mult", "2,1", "--depth", "2",
+        "--lambda-real", "1",
+    ],
+    "check-oracle-monster-lambda": [
+        "check", "oracle-monster", "--level", "2", "--mult", "2,1", "--depth", "2",
+        "--lambda", "1,0,0,1",
+    ],
+    "check-projection": ["check", "projection", "--datum", "{d1}", "--lambda", "1,1", "--depth", "3"],
+    "check-projection-not-dominant": [
+        "check", "projection", "--datum", "{d1}", "--lambda=0,-1", "--depth", "3",
+    ],
+    "check-embedding-index": [
+        "check", "embedding", "--datum", "{d1}", "--depth", "3", "--index", "2",
+    ],
+    "check-embedding-all": ["check", "embedding", "--datum", "{monster}", "--depth", "2"],
+    "check-profile": [
+        "check", "profile", "--datum", "{d1}", "--mode", "hw", "--lambda", "1,0", "--depth", "3",
+    ],
+    "check-profile-vacuous": ["check", "profile", "--datum", "{real}", "--depth", "2"],
+}
+
+
+def write_datum_files(directory) -> dict:
+    files = {
+        name: os.path.join(directory, f"{name}.json") for name in ("d1", "d2", "monster", "real")
+    }
+    G.save_datum_file(files["d1"], make_d1())
+    G.save_datum_file(files["d2"], make_d2())
+    G.save_datum_file(
+        files["monster"], make_toy_monster().datum,
+        sequence_spec={"kind": "monster", "level": 2, "multiplicities": [2, 1]},
+    )
+    G.save_datum_file(files["real"], G.make_datum(["a", "b"], [[2, -1], [-1, 2]]))
+    return files
+
+
+def run_case(argv, files, directory) -> dict:
+    """Run one case; return its exit code, stdout and ``--out`` text."""
+    out_path = os.path.join(directory, "out.txt")
+    names = {**files, "out": out_path}
+    args = [names.get(a[1:-1], a) if a.startswith("{") else a for a in argv]
+    if os.path.exists(out_path):
+        os.remove(out_path)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    result = {"exit": code, "stdout": stdout.getvalue()}
+    if os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as fh:
+            result["out"] = fh.read()
+    return result
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_every_case_is_pinned(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case(name, golden, tmp_path):
+    files = write_datum_files(tmp_path)
+    assert run_case(CASES[name], files, tmp_path) == golden[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_datum_files(tmp)
+        expected = {name: run_case(argv, files, tmp) for name, argv in CASES.items()}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(expected, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -222,10 +222,3 @@ class TestOracleCompare:
                 up = crystal.e(i, b)
                 if up is not None:
                     assert G.rank2_member(up.x, p)
-
-
-def test_known_j_coefficients():
-    table = G.known_j_coefficients()
-    assert table[-1] == 1
-    assert table[1] == 196884
-    assert table[2] == 21493760
