@@ -175,27 +175,41 @@ def monster_block_sequence(datum, level: int, multiplicities) -> IndexSequence:
     return IndexSequence(datum, prefix, cycle, seq_id)
 
 
+def _spec_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sequence_from_spec(datum, spec: dict) -> IndexSequence:
     """Build a sequence from its JSON spec: {"kind": "cyclic"} |
     {"kind": "explicit", "prefix": [...], "cycle": [...]} |
     {"kind": "monster", "level": L, "multiplicities": [...]}.
 
-    Explicit entries may be index names or 0-based positions.
+    Explicit entries may be index names or 0-based positions.  Every
+    shape check of a spec is made here; a spec that does not fit the
+    datum raises KeyError (unknown index name) or ValueError.
     """
     kind = spec.get("kind")
     if kind == "cyclic":
         return cyclic_sequence(datum)
     if kind == "explicit":
-        def resolve(entry):
-            return entry if isinstance(entry, int) else datum.index_of(entry)
+        def resolve(key):
+            entries = spec.get(key, [])
+            if not isinstance(entries, list):
+                raise ValueError(f'explicit "{key}" must be a list, got {entries!r}')
+            for v in entries:
+                if not (isinstance(v, str) or _spec_int(v)):
+                    raise ValueError(f"sequence entry {v!r} is neither an index name nor an integer")
+            return [datum.index_of(v) if isinstance(v, str) else v for v in entries]
 
-        return explicit_sequence(
-            datum,
-            [resolve(v) for v in spec.get("prefix", [])],
-            [resolve(v) for v in spec.get("cycle", [])],
-        )
+        return explicit_sequence(datum, resolve("prefix"), resolve("cycle"))
     if kind == "monster":
-        return monster_block_sequence(datum, spec["level"], spec["multiplicities"])
+        level, mults = spec.get("level"), spec.get("multiplicities")
+        if not (_spec_int(level) and isinstance(mults, list) and all(map(_spec_int, mults))):
+            raise ValueError(
+                'a "monster" sequence needs an integer "level" and a list of '
+                'integer "multiplicities"'
+            )
+        return monster_block_sequence(datum, level, mults)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -412,12 +426,14 @@ def realize_highest_weight(datum, seq: IndexSequence, lam: Weight, depth: int) -
 
 
 @dataclass
-class ProjectionResult:
+class EmbeddingResult:
     witness: MorphismWitness
+    source: CrystalGraph
+    target: CrystalGraph
     report: CheckReport
 
 
-def highest_weight_projection(hw_graph, binf_graph) -> ProjectionResult:
+def highest_weight_projection(hw_graph, binf_graph) -> EmbeddingResult:
     """The projection that forgets the highest weight: x ⊗ t_lam ⊗ c -> x.
 
     Checked laws: the map is injective, sends root to root, commutes
@@ -476,15 +492,7 @@ def highest_weight_projection(hw_graph, binf_graph) -> ProjectionResult:
                     rep.add(u, i, "projection_f_commute", mapping.get(sv), dv)
 
     witness = MorphismWitness(mapping, strict=False, embedding=True, weight_shift=lam)
-    return ProjectionResult(witness, rep)
-
-
-@dataclass
-class EmbeddingResult:
-    witness: MorphismWitness
-    source: CrystalGraph
-    target: CrystalGraph
-    report: CheckReport
+    return EmbeddingResult(witness, hw_graph, binf_graph, rep)
 
 
 def _transport(src, dst, root_image) -> tuple:
@@ -534,6 +542,17 @@ def _transport(src, dst, root_image) -> tuple:
     return images, rep
 
 
+def _embed(source, product, root_image, depth) -> EmbeddingResult:
+    """Generate the component of ``root_image`` in ``product`` to
+    ``depth``, transport ``source`` into it and check the witness as a
+    strict embedding."""
+    target = bfs_component(product, root_image, depth)
+    images, rep = _transport(source, target, root_image)
+    witness = MorphismWitness(images, strict=True, embedding=True)
+    rep.merge(check_morphism(witness, source, target))
+    return EmbeddingResult(witness, source, target, rep)
+
+
 def crystal_embedding(binf_graph, i: int) -> EmbeddingResult:
     """Embed a B(infinity) truncation into itself ⊗ (elementary crystal i).
 
@@ -544,16 +563,10 @@ def crystal_embedding(binf_graph, i: int) -> EmbeddingResult:
     crystal = binf_graph.crystal
     if crystal is None:
         raise ValueError("graph does not carry its generating crystal")
-    datum = binf_graph.datum
-    elementary = ElementaryCrystal(datum, i)
+    elementary = ElementaryCrystal(binf_graph.datum, i)
     product = TensorCrystal(crystal, elementary)
-    root_elt = binf_graph.nodes[binf_graph.root].elt
-    root_image = product.element(root_elt, elementary.top())
-    target = bfs_component(product, root_image, binf_graph.depth_bound)
-    images, rep = _transport(binf_graph, target, root_image)
-    witness = MorphismWitness(images, strict=True, embedding=True)
-    rep.merge(check_morphism(witness, binf_graph, target))
-    return EmbeddingResult(witness, binf_graph, target, rep)
+    root_image = product.element(binf_graph.nodes[binf_graph.root].elt, elementary.top())
+    return _embed(binf_graph, product, root_image, binf_graph.depth_bound)
 
 
 def tensor_decomposition_embedding(datum, seq, lam, mu, depth) -> EmbeddingResult:
@@ -564,8 +577,4 @@ def tensor_decomposition_embedding(datum, seq, lam, mu, depth) -> EmbeddingResul
     right = highest_weight_crystal(datum, seq, mu)
     product = TensorCrystal(left, right)
     root_image = product.element(highest_weight_root(left), highest_weight_root(right))
-    target = bfs_component(product, root_image, depth)
-    images, rep = _transport(source, target, root_image)
-    witness = MorphismWitness(images, strict=True, embedding=True)
-    rep.merge(check_morphism(witness, source, target))
-    return EmbeddingResult(witness, source, target, rep)
+    return _embed(source, product, root_image, depth)

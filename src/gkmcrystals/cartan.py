@@ -41,9 +41,6 @@ class NegInfinity:
     def __eq__(self, other):
         return isinstance(other, NegInfinity)
 
-    def __ne__(self, other):
-        return not isinstance(other, NegInfinity)
-
     def __hash__(self):
         return hash("gkmcrystals.NEG_INF")
 
@@ -89,8 +86,6 @@ class NegInfinity:
 
 NEG_INF = NegInfinity()
 
-ExtInt = int | NegInfinity
-
 
 def is_neg_inf(value) -> bool:
     return isinstance(value, NegInfinity)
@@ -99,14 +94,6 @@ def is_neg_inf(value) -> bool:
 def ext_to_json(value):
     """Serialize an extended integer; -inf becomes the string "-inf"."""
     return "-inf" if is_neg_inf(value) else value
-
-
-def ext_from_json(value) -> ExtInt:
-    if value == "-inf":
-        return NEG_INF
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not an extended integer: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -209,11 +196,13 @@ def validate_cartan_data(matrix, symmetrizers) -> ValidationReport:
       * zero-symmetry-- a_ij = 0 exactly when a_ji = 0
       * symmetrizable-- s_i a_ij = s_j a_ji
 
-    Raises DatumShapeError for inputs that are not a square integer
-    matrix with matching positive integer symmetrizers.
+    Raises DatumShapeError for inputs that are not a nonempty square
+    integer matrix with matching positive integer symmetrizers.
     """
     rows = list(matrix)
     n = len(rows)
+    if n == 0:
+        raise DatumShapeError("a datum needs at least one index")
     for r in rows:
         if len(r) != n:
             raise DatumShapeError(f"matrix is not square: {n} rows, row of length {len(r)}")
@@ -348,14 +337,24 @@ _DATUM_KEYS = {"indices", "cartan", "symmetrizers", "sequence"}
 _REQUIRED_KEYS = {"indices", "cartan", "symmetrizers"}
 
 
-def parse_datum_payload(obj):
-    """Format-check a decoded datum JSON object.
+def load_datum_file(path):
+    """Load and validate a datum file; unknown fields are rejected.
 
-    Returns (index_names, matrix, symmetrizers, sequence_spec_or_None)
-    without running the Borcherds-Cartan validation, so that callers can
-    report condition violations separately from file-format problems.
-    Unknown fields are rejected.
+    Returns (datum, sequence_spec_or_None); the sequence spec is only
+    checked to be an object, ``binfinity.sequence_from_spec`` builds it.
+    Raises OSError, UnicodeDecodeError or json.JSONDecodeError for an
+    unreadable file, DatumFormatError for a payload that does not match
+    the schema, DatumShapeError / DatumConditionError for invalid data.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (ValueError, RecursionError) as exc:
+            # JSON the decoder refuses although it is well formed: an
+            # integer too long to convert, or nesting too deep
+            raise DatumFormatError(f"unsupported JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatumFormatError("datum file must contain a JSON object")
     unknown = sorted(set(obj) - _DATUM_KEYS)
@@ -376,16 +375,7 @@ def parse_datum_payload(obj):
     seq = obj.get("sequence")
     if seq is not None and not isinstance(seq, dict):
         raise DatumFormatError('"sequence" must be an object')
-    if seq is not None and seq.get("kind") == "monster":
-        level, mults = seq.get("level"), seq.get("multiplicities")
-        if not isinstance(level, int) or not (
-            isinstance(mults, list) and all(isinstance(v, int) for v in mults)
-        ):
-            raise DatumFormatError(
-                'a "monster" sequence needs an integer "level" and a list of '
-                'integer "multiplicities"'
-            )
-    return names, matrix, syms, seq
+    return make_datum(names, matrix, syms), seq
 
 
 def datum_to_dict(datum: BorcherdsCartanDatum, sequence_spec=None) -> dict:
@@ -397,19 +387,6 @@ def datum_to_dict(datum: BorcherdsCartanDatum, sequence_spec=None) -> dict:
     if sequence_spec is not None:
         out["sequence"] = sequence_spec
     return out
-
-
-def load_datum_file(path):
-    """Load and validate a datum file.
-
-    Returns (datum, sequence_spec_or_None).  Raises json.JSONDecodeError
-    or DatumFormatError for unreadable payloads, DatumShapeError /
-    DatumConditionError for invalid data.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    names, matrix, syms, seq = parse_datum_payload(obj)
-    return make_datum(names, matrix, syms), seq
 
 
 def save_datum_file(path, datum: BorcherdsCartanDatum, sequence_spec=None):

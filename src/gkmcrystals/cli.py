@@ -20,15 +20,7 @@ import json
 import random
 import sys
 
-from .cartan import (
-    DatumConditionError,
-    DatumFormatError,
-    DatumShapeError,
-    load_datum_file,
-    make_datum,
-    parse_datum_payload,
-    validate_cartan_data,
-)
+from .cartan import DatumConditionError, DatumFormatError, DatumShapeError, load_datum_file
 from .checks import check_axioms, check_category_profile
 from .closed_form import (
     MonsterModel,
@@ -43,7 +35,6 @@ from .closed_form import (
 from .binfinity import (
     crystal_embedding,
     cyclic_sequence,
-    explicit_sequence,
     highest_weight_projection,
     realize_binfinity,
     realize_highest_weight,
@@ -60,11 +51,8 @@ class UsageError(Exception):
     pass
 
 
-def _load_datum(path):
-    try:
-        return load_datum_file(path)
-    except (OSError, json.JSONDecodeError, DatumFormatError, DatumShapeError) as exc:
-        raise UsageError(f"cannot read datum file {path}: {exc}") from exc
+# what ``load_datum_file`` raises for a file it cannot read or decode
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 
 def _dominant_lambda(datum, text):
@@ -85,50 +73,50 @@ def _dominant_lambda(datum, text):
     return lam
 
 
-def _sequence_from_file(datum, file_spec):
-    try:
-        return sequence_from_spec(datum, file_spec)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad sequence in the datum file: {exc.args[0]}") from exc
-
-
 def _resolve_sequence(datum, seq_arg, file_spec):
+    """The sequence that ``--seq`` text names, else the datum file's
+    "sequence" entry, else the cyclic one.  The text becomes a spec of
+    the file's form, so both are built and checked by
+    ``sequence_from_spec``."""
     if seq_arg is None:
-        if file_spec is not None:
-            return _sequence_from_file(datum, file_spec)
-        return cyclic_sequence(datum)
-    if seq_arg == "cyclic":
-        return cyclic_sequence(datum)
-    if seq_arg == "monster":
+        spec = {"kind": "cyclic"} if file_spec is None else file_spec
+    elif seq_arg == "cyclic":
+        spec = {"kind": "cyclic"}
+    elif seq_arg == "monster":
         if file_spec is None or file_spec.get("kind") != "monster":
             raise UsageError(
                 'sequence "monster" needs a {"sequence": {"kind": "monster", ...}} '
                 "entry in the datum file"
             )
-        return _sequence_from_file(datum, file_spec)
-    if seq_arg.startswith("explicit:"):
+        spec = file_spec
+    elif seq_arg.startswith("explicit:"):
         body = seq_arg[len("explicit:"):]
         if ";" not in body:
             raise UsageError('explicit sequence syntax is "explicit:p1,p2;c1,c2"')
-        prefix_text, cycle_text = body.split(";", 1)
-        try:
-            prefix = [datum.index_of(s) for s in prefix_text.split(",") if s]
-            cycle = [datum.index_of(s) for s in cycle_text.split(",") if s]
-            return explicit_sequence(datum, prefix, cycle)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad sequence {seq_arg!r}: {exc.args[0]}") from exc
-    raise UsageError(f"unknown sequence spec {seq_arg!r}")
+        prefix, cycle = ([s for s in part.split(",") if s] for part in body.split(";", 1))
+        spec = {"kind": "explicit", "prefix": prefix, "cycle": cycle}
+    else:
+        raise UsageError(f"unknown sequence spec {seq_arg!r}")
+    try:
+        return sequence_from_spec(datum, spec)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"bad sequence {json.dumps(spec)}: {exc.args[0]}") from exc
 
 
-def _datum_and_sequence(args):
-    datum, file_spec = _load_datum(args.datum)
-    return datum, _resolve_sequence(datum, args.seq, file_spec)
+def _datum_and_sequence(path, seq_arg=None):
+    """Every verb's one way in: the datum file at ``path`` and the index
+    sequence of ``_resolve_sequence``."""
+    try:
+        datum, file_spec = load_datum_file(path)
+    except (*_UNREADABLE, DatumFormatError, DatumShapeError) as exc:
+        raise UsageError(f"cannot read datum file {path}: {exc}") from exc
+    return datum, _resolve_sequence(datum, seq_arg, file_spec)
 
 
 def _generate(args):
     if args.lam is not None and args.mode != "hw":
         raise UsageError("--lambda needs --mode hw")
-    datum, seq = _datum_and_sequence(args)
+    datum, seq = _datum_and_sequence(args.datum, args.seq)
     if args.mode == "binf":
         return realize_binfinity(datum, seq, args.depth)
     return realize_highest_weight(datum, seq, _dominant_lambda(datum, args.lam), args.depth)
@@ -146,30 +134,29 @@ def _emit(text, out_path):
 
 
 def cmd_validate(args) -> int:
+    """Load the file as every other verb does, sequence entry included,
+    and name the class of the first failure."""
     try:
-        with open(args.datum, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        datum, file_spec = load_datum_file(args.datum)
+        _resolve_sequence(datum, None, file_spec)
+    except _UNREADABLE as exc:
         print(f"parse error: {exc}")
         return USAGE
-    try:
-        names, matrix, syms, _ = parse_datum_payload(obj)
     except DatumFormatError as exc:
         print(f"format error: {exc}")
         return USAGE
-    try:
-        report = validate_cartan_data(matrix, syms)
-        if report.ok:
-            make_datum(names, matrix, syms)
     except DatumShapeError as exc:
         print(f"structural error: {exc}")
         return USAGE
-    if report.ok:
-        print(f"valid Borcherds-Cartan datum with {len(matrix)} indices")
-        return OK
-    for line in report.lines():
-        print(f"violation {line}")
-    return FAIL
+    except DatumConditionError as exc:
+        for line in exc.report.lines():
+            print(f"violation {line}")
+        return FAIL
+    except UsageError as exc:
+        print(f"format error: {exc}")
+        return USAGE
+    print(f"valid Borcherds-Cartan datum with {datum.size} indices")
+    return OK
 
 
 def cmd_gen(args) -> int:
@@ -211,14 +198,14 @@ def _seeded_rng(args):
 
 
 def cmd_axioms(args) -> int:
-    datum, _ = _load_datum(args.datum)
+    datum, _ = _datum_and_sequence(args.datum)
     rng = _seeded_rng(args)
     reports = [check_axioms(random_universe_graph(rng, datum)) for _ in range(args.trials)]
     return _report_outcome(f"axioms over {args.trials} random crystals", reports)
 
 
 def cmd_assoc(args) -> int:
-    datum, _ = _load_datum(args.datum)
+    datum, _ = _datum_and_sequence(args.datum)
     rng = _seeded_rng(args)
     reports = []
     for _ in range(args.trials):
@@ -275,7 +262,7 @@ def cmd_oracle_monster(args) -> int:
 
 
 def cmd_projection(args) -> int:
-    datum, seq = _datum_and_sequence(args)
+    datum, seq = _datum_and_sequence(args.datum, args.seq)
     lam = _dominant_lambda(datum, args.lam)
     hw = realize_highest_weight(datum, seq, lam, args.depth)
     binf = realize_binfinity(datum, seq, args.depth)
@@ -284,7 +271,7 @@ def cmd_projection(args) -> int:
 
 
 def cmd_embedding(args) -> int:
-    datum, seq = _datum_and_sequence(args)
+    datum, seq = _datum_and_sequence(args.datum, args.seq)
     binf = realize_binfinity(datum, seq, args.depth)
     if args.index is None:
         indices = list(datum.indices())

@@ -343,7 +343,6 @@ class OracleReport:
     char: list
     predicate_char: list
     depth: int
-    position_bound: int
 
     @property
     def ok(self) -> bool:
@@ -373,19 +372,17 @@ class OracleReport:
 
 
 def compare_predicate_with_bfs(
-    member, datum, seq: IndexSequence, depth: int, lam: Weight | None = None,
-    position_bound: int | None = None,
+    member, datum, seq: IndexSequence, depth: int, lam: Weight | None = None
 ) -> OracleReport:
     """Diff a membership predicate against brute-force generation.
 
-    Enumerates every string of height <= depth over the position bound,
-    keeps those passing ``member``, generates the component to the same
-    depth (the highest-weight one when ``lam`` is given), and reports
-    the set differences plus both per-weight multiplicity tables.
+    Enumerates every string of height <= depth over the default position
+    bound, keeps those passing ``member``, generates the component to
+    the same depth (the highest-weight one when ``lam`` is given), and
+    reports the set differences plus both per-weight multiplicity tables.
     """
-    bound = position_bound if position_bound is not None else default_position_bound(seq, depth)
     passing = set()
-    for x in iter_bounded_strings(bound, depth):
+    for x in iter_bounded_strings(default_position_bound(seq, depth), depth):
         xs = _strip(x)
         if member(xs):
             passing.add(xs)
@@ -412,5 +409,4 @@ def compare_predicate_with_bfs(
         char=weight_multiplicities(graph),
         predicate_char=predicate_char,
         depth=depth,
-        position_bound=bound,
     )

@@ -55,9 +55,6 @@ class Crystal:
     def f(self, i: int, b):
         raise NotImplementedError
 
-    def wt_i(self, i: int, b) -> int:
-        return self.datum.pairing(i, self.wt(b))
-
     def stats(self, b) -> tuple:
         """All statistics of b at once: (wt, eps, phi, e targets,
         f targets), the last four as tuples indexed by i.

@@ -15,14 +15,15 @@ from .graph import graph_from_universe
 from .tensor import TensorCrystal
 
 
-def random_weight(rng, datum, span=2):
-    lam = [rng.randint(-span, span) for _ in range(datum.size)]
-    rt = [rng.randint(-span, span) for _ in range(datum.size)]
+def random_weight(rng, datum):
+    lam = [rng.randint(-2, 2) for _ in range(datum.size)]
+    rt = [rng.randint(-2, 2) for _ in range(datum.size)]
     return datum.weight(lam, rt)
 
 
-def random_factor(rng, datum, max_depth=4):
-    """One small crystal with its full element list."""
+def random_factor(rng, datum, max_depth):
+    """One small crystal with its full element list; an elementary one
+    has at most ``max_depth`` + 1 elements."""
     kind = rng.choice(("elementary", "elementary", "shift", "unit"))
     if kind == "elementary":
         crystal = ElementaryCrystal(datum, rng.randrange(datum.size))
@@ -34,11 +35,11 @@ def random_factor(rng, datum, max_depth=4):
     return crystal, [crystal.element()]
 
 
-def random_universe(rng, datum, max_depth=4):
+def random_universe(rng, datum):
     """A crystal together with a finite universe of its elements:
     either a single factor or a flat product of two or three."""
     count = rng.choice((1, 2, 2, 3))
-    picks = [random_factor(rng, datum, max_depth) for _ in range(count)]
+    picks = [random_factor(rng, datum, 4) for _ in range(count)]
     if count == 1:
         return picks[0]
     crystal = TensorCrystal(*[c for c, _ in picks])
@@ -49,11 +50,9 @@ def random_universe(rng, datum, max_depth=4):
     return crystal, elements
 
 
-def random_universe_graph(rng, datum, max_depth=4):
-    crystal, elements = random_universe(rng, datum, max_depth)
-    return graph_from_universe(crystal, elements)
+def random_universe_graph(rng, datum):
+    return graph_from_universe(*random_universe(rng, datum))
 
 
-def random_factor_graph(rng, datum, max_elements=15):
-    crystal, elements = random_factor(rng, datum, max_depth=max_elements - 1)
-    return graph_from_universe(crystal, elements[:max_elements])
+def random_factor_graph(rng, datum):
+    return graph_from_universe(*random_factor(rng, datum, 14))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 
-from .cartan import Weight, ext_to_json, is_neg_inf
+from .cartan import Weight, ext_to_json
 from .crystals import (
     ElementaryElement,
     ShiftElement,
@@ -122,10 +122,10 @@ class CrystalGraph:
         return incoming
 
 
-def _annotate(graph, u, stats, mode) -> tuple:
+def _annotate(graph, u, stats) -> tuple:
     """Cache node u's wt / eps / phi and map its raising fan to node ids,
     all from the node's ``crystal.stats`` tuple; return its lowering
-    targets.  mode is "bfs" or "universe"."""
+    targets."""
     node = graph.nodes[u]
     node.wt, node.eps, node.phi, e_targets, f_targets = stats
     ids = graph.ids
@@ -137,8 +137,7 @@ def _annotate(graph, u, stats, mode) -> tuple:
             e_ids.append(ids[r])
         else:
             e_ids.append(CUT)
-            if mode == "bfs":
-                graph.closure_failures.append((u, i, r))
+            graph.closure_failures.append((u, i, r))
     node.e_ids = tuple(e_ids)
     return f_targets
 
@@ -163,7 +162,7 @@ def bfs_component(crystal, root, depth: int) -> CrystalGraph:
         found = {}
         pending = []  # (node id, lowering targets) awaiting the next layer's ids
         for u in layer:
-            targets = _annotate(graph, u, crystal.stats(nodes[u].elt), "bfs")
+            targets = _annotate(graph, u, crystal.stats(nodes[u].elt))
             if d == depth:
                 nodes[u].f_ids = tuple(None if r is None else CUT for r in targets)
                 nodes[u].frontier = True
@@ -204,7 +203,7 @@ def graph_from_universe(crystal, elements) -> CrystalGraph:
     if not graph.nodes:
         raise ValueError("universe must be nonempty")
     for u, node in enumerate(graph.nodes):
-        targets = _annotate(graph, u, crystal.stats(node.elt), "universe")
+        targets = _annotate(graph, u, crystal.stats(node.elt))
         node.f_ids = tuple(None if r is None else graph.ids.get(r, CUT) for r in targets)
         node.frontier = CUT in node.f_ids
     return graph
@@ -226,34 +225,6 @@ def validate_structure(graph):
                     raise GraphStructureError(f"node {u} {label}-edge to missing node {v!r}")
         if node.eps is None or node.phi is None or len(node.eps) != graph.datum.size:
             raise GraphStructureError(f"node {u} is missing cached statistics")
-
-
-def manual_graph(datum, weights, edges, root=0, elements=None, eps=None, phi=None):
-    """Hand-build a graph from weights and lowering edges (tests, docs).
-
-    ``edges`` is a list of (from_id, index, to_id); raising fans are the
-    mirror of the lowering fans.  Statistics default to 0 everywhere and
-    can be overridden per node.
-    """
-    graph = CrystalGraph(datum, None, depth_bound=None)
-    for k, w in enumerate(weights):
-        elt = elements[k] if elements is not None else ("node", k)
-        node_id = graph.add_node(elt)
-        node = graph.nodes[node_id]
-        node.wt = w
-        node.eps = tuple(eps[k]) if eps is not None else (0,) * datum.size
-        node.phi = tuple(phi[k]) if phi is not None else (0,) * datum.size
-        node.e_ids = tuple([None] * datum.size)
-        node.f_ids = tuple([None] * datum.size)
-    for u, i, v in edges:
-        fu = list(graph.nodes[u].f_ids)
-        fu[i] = v
-        graph.nodes[u].f_ids = tuple(fu)
-        ev = list(graph.nodes[v].e_ids)
-        ev[i] = u
-        graph.nodes[v].e_ids = tuple(ev)
-    graph.root = root
-    return graph
 
 
 def weight_token(w: Weight) -> str:

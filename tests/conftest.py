@@ -22,6 +22,34 @@ def make_toy_monster():
     return G.MonsterModel(G.MonsterParams(2, (2, 1)))
 
 
+def manual_graph(datum, weights, edges, root=0, elements=None, eps=None, phi=None):
+    """Hand-build a graph from weights and lowering edges.
+
+    ``edges`` is a list of (from_id, index, to_id); raising fans are the
+    mirror of the lowering fans.  Statistics default to 0 everywhere and
+    can be overridden per node.
+    """
+    graph = G.CrystalGraph(datum, None, depth_bound=None)
+    for k, w in enumerate(weights):
+        elt = elements[k] if elements is not None else ("node", k)
+        node_id = graph.add_node(elt)
+        node = graph.nodes[node_id]
+        node.wt = w
+        node.eps = tuple(eps[k]) if eps is not None else (0,) * datum.size
+        node.phi = tuple(phi[k]) if phi is not None else (0,) * datum.size
+        node.e_ids = tuple([None] * datum.size)
+        node.f_ids = tuple([None] * datum.size)
+    for u, i, v in edges:
+        fu = list(graph.nodes[u].f_ids)
+        fu[i] = v
+        graph.nodes[u].f_ids = tuple(fu)
+        ev = list(graph.nodes[v].e_ids)
+        ev[i] = u
+        graph.nodes[v].e_ids = tuple(ev)
+    graph.root = root
+    return graph
+
+
 @pytest.fixture
 def d1():
     return make_d1()

@@ -72,7 +72,7 @@ def test_criterion_02_associativity():
     mismatches = 0
     triples = 0
     for trial in range(50):
-        graphs = [random_factor_graph(rng, datums[trial % 3], 15) for _ in range(3)]
+        graphs = [random_factor_graph(rng, datums[trial % 3]) for _ in range(3)]
         assert all(len(g) <= 15 for g in graphs)
         report = verify_associativity(*graphs)
         mismatches += len(report.violations)

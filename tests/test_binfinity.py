@@ -3,9 +3,8 @@ import pytest
 import gkmcrystals as G
 from gkmcrystals.binfinity import audit_binfinity_truncation
 from gkmcrystals.checks import check_morphism
-from gkmcrystals.graph import manual_graph
 
-from conftest import make_imaginary_only
+from conftest import make_imaginary_only, manual_graph
 
 
 class TestRealizeBinfinity:

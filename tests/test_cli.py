@@ -309,3 +309,36 @@ class TestBadInputsExitTwo:
         path = tmp_path / "monster.json"
         G.save_datum_file(path, make_toy_monster().datum, sequence_spec=spec)
         assert main(["gen", "--datum", str(path), "--depth", "1"]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"indices": [], "cartan": [], "symmetrizers": []},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "explicit", "prefix": 5, "cycle": [0, 1]}},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "explicit", "prefix": [True], "cycle": [0, 1]}},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "monster", "level": 2, "multiplicities": [2, 1]}},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "spiral"}},
+        {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "sequence": {}},
+    ], ids=["empty", "bad-explicit", "bool-explicit-entry", "wrong-monster", "unknown-kind",
+            "no-kind"])
+    def test_bad_datum_file(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["gen", "--datum", str(path), "--depth", "1"]) == 2
+        assert main(["validate", "--datum", str(path)]) == 2
+        assert "error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, error", [
+        (b"\xff\xfe{", "parse error"),
+        (b'{"indices": ["1"], "cartan": [[' + b"9" * 5000 + b']], "symmetrizers": [1]}',
+         "format error"),
+        (b"[" * 100_000 + b"]" * 100_000, "format error"),
+    ], ids=["not-utf-8", "long-integer", "deep-nesting"])
+    def test_datum_file_the_decoder_refuses(self, tmp_path, capsys, text, error):
+        path = tmp_path / "refused.json"
+        path.write_bytes(text)
+        assert main(["gen", "--datum", str(path), "--depth", "1"]) == 2
+        assert main(["validate", "--datum", str(path)]) == 2
+        assert capsys.readouterr().out.startswith(error)

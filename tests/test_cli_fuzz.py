@@ -44,7 +44,8 @@ BAD_NUMBERS = ["-1", "x", "", "1.5", "0x1", "1e2", " "]
 # of the fixture below
 VALUES = {
     "--datum": (["{d1}", "{monster}", "{real}"],
-                ["{broken}", "{no-level}", "{missing}", "{dir}"]),
+                ["{broken}", "{no-level}", "{missing}", "{dir}", "{empty}", "{bad-explicit}",
+                 "{wrong-monster}", "{binary}", "{violation}"]),
     "--depth": (["0", "1", "2"], BAD_NUMBERS),
     "--mode": (["binf", "hw"], ["bogus"]),
     "--lambda": (["1,0", "0,0", "1,1", "1,0,0,0", "0,1,0,0"],
@@ -103,12 +104,21 @@ def files(tmp_path_factory):
          {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),
         ("{real}", G.make_datum(["a", "b"], [[2, -1], [-1, 2]]), None),
         ("{no-level}", make_toy_monster().datum, {"kind": "monster", "multiplicities": [2, 1]}),
+        ("{bad-explicit}", make_d1(), {"kind": "explicit", "prefix": 5, "cycle": ["1", "2"]}),
+        ("{wrong-monster}", make_d1(), {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),
     ]:
         paths[key] = str(root / (key.strip("{}") + ".json"))
         G.save_datum_file(paths[key], datum, sequence_spec=spec)
-    paths["{broken}"] = str(root / "broken.json")
-    with open(paths["{broken}"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"indices": ["1"], "cartan": [[2]]})[:-3])
+    for key, payload in [
+        ("{broken}", json.dumps({"indices": ["1"], "cartan": [[2]]})[:-3].encode()),
+        ("{empty}", json.dumps({"indices": [], "cartan": [], "symmetrizers": []}).encode()),
+        ("{binary}", b"\xff\xfe{"),
+        ("{violation}", json.dumps({"indices": ["1"], "cartan": [[-1]], "symmetrizers": [1]})
+         .encode()),
+    ]:
+        paths[key] = str(root / (key.strip("{}") + ".json"))
+        with open(paths[key], "wb") as fh:
+            fh.write(payload)
     return paths
 
 
@@ -127,3 +137,14 @@ def test_main_keeps_exit_contract(files, argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = exit_code(argv)
     assert code in (0, 1, 2), argv
+
+
+@pytest.mark.parametrize("datum", [*VALUES["--datum"][0], *VALUES["--datum"][1]])
+def test_validate_agrees_with_gen(files, datum):
+    """``validate`` accepts exactly the datum files every other verb
+    reads, and rejects the others with the exit code ``gen`` gives."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        validate = exit_code(["validate", "--datum", files[datum]])
+        gen = exit_code(["gen", "--datum", files[datum], "--depth", "0"])
+    assert validate == gen
+    assert (validate == 0) == (datum in VALUES["--datum"][0])

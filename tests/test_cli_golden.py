@@ -4,7 +4,8 @@
 ``gen`` exports (JSON and DOT), ``char``, ``validate`` and every
 ``check`` bundle, including failing and rejected runs.  Argument tokens
 ``{d1}``, ``{d2}``, ``{monster}`` and ``{real}`` name datum files written
-by ``write_datum_files``; ``{out}`` names an output file in the same
+by ``write_datum_files``, and ``{broken}``, ``{extra}``, ``{shape}`` and
+``{violation}`` files it writes that ``validate`` rejects; ``{out}`` names an output file in the same
 directory.  A change to argument handling or dispatch that moves one
 byte of output fails here.  For an intended change of output, rewrite
 the file with ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
@@ -27,6 +28,10 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 CASES = {
     "validate": ["validate", "--datum", "{d1}"],
+    "validate-parse-error": ["validate", "--datum", "{broken}"],
+    "validate-format-error": ["validate", "--datum", "{extra}"],
+    "validate-structural-error": ["validate", "--datum", "{shape}"],
+    "validate-violation": ["validate", "--datum", "{violation}"],
     "gen-binf-json": ["gen", "--datum", "{d1}", "--depth", "3"],
     "gen-binf-dot": ["gen", "--datum", "{d1}", "--depth", "3", "--format", "dot"],
     "gen-hw-json": ["gen", "--datum", "{d2}", "--mode", "hw", "--lambda", "2", "--depth", "3"],
@@ -91,6 +96,16 @@ def write_datum_files(directory) -> dict:
         sequence_spec={"kind": "monster", "level": 2, "multiplicities": [2, 1]},
     )
     G.save_datum_file(files["real"], G.make_datum(["a", "b"], [[2, -1], [-1, 2]]))
+    bad = {
+        "broken": '{"indices": ["1"], "cartan": [[2]]',
+        "extra": {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "foo": 0},
+        "shape": {"indices": ["1", "2"], "cartan": [[2, -1]], "symmetrizers": [1, 1]},
+        "violation": {"indices": ["1", "2"], "cartan": [[-1, 1], [0, 2]], "symmetrizers": [1, 1]},
+    }
+    for name, payload in bad.items():
+        files[name] = os.path.join(directory, f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
     return files
 
 

@@ -7,12 +7,11 @@ from gkmcrystals.graph import (
     CUT,
     element_token,
     graph_to_json_dict,
-    manual_graph,
     validate_structure,
     weight_token,
 )
 
-from conftest import make_d2
+from conftest import make_d2, manual_graph
 
 
 class TestBfsComponent:

@@ -68,6 +68,15 @@ class TestIndexSequence:
         assert seq.cycle == toy_monster.sequence.cycle
         with pytest.raises(ValueError):
             G.sequence_from_spec(d1, {"kind": "nope"})
+        for bad in [
+            {"kind": "explicit", "prefix": 5, "cycle": [0, 1]},
+            {"kind": "explicit", "cycle": [True, 1]},
+            {"kind": "explicit", "cycle": [0, 1.0]},
+            {"kind": "monster", "level": True, "multiplicities": [1]},
+            {"kind": "monster", "level": 1, "multiplicities": 1},
+        ]:
+            with pytest.raises(ValueError):
+                G.sequence_from_spec(d1, bad)
 
 
 class TestCanonicalStrings:
