@@ -316,7 +316,9 @@ def _add_generation_options(parser, with_output):
                         help="comma-separated fundamental-weight coefficients (hw mode only)")
     parser.add_argument("--depth", type=_nonnegative_int, required=True)
     parser.add_argument("--seq", default=None,
-                        help='cyclic | monster | "explicit:p1,p2;c1,c2"')
+                        help='cyclic | monster | "explicit:p1,p2;c1,c2"; names are split '
+                             'on "," and ";", so a Monster name such as "(1,1)" cannot '
+                             'be given here: use the datum file\'s "sequence" entry')
     if with_output:
         parser.add_argument("--format", choices=("json", "dot"), default="json")
         parser.add_argument("--out", default=None)

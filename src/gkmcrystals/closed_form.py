@@ -10,9 +10,13 @@ Two families are covered, each over its canonical index sequence:
   -(deg + deg'), block sequence with the real index at positions b(n).
 
 The membership conditions are evaluated with exact pairings taken from
-the datum; the corresponding highest-weight variants add the bounds
-imposed by a dominant weight.  ``compare_predicate_with_bfs`` enumerates
-every bounded string passing a predicate and diffs the set against the
+the datum.  Each family writes its conditions once: B(lam) sits inside
+B(inf) (x) T_lam (x) C as (string) (x) t_lam (x) c, so a dominant lam
+acts as a budget in front of position 1 -- <h_i, lam> is the room an
+index has before its first occurrence -- and the highest-weight
+predicate is the base one with that budget read off lam, only where a
+condition needs it.  ``compare_predicate_with_bfs`` enumerates every
+bounded string passing a predicate and diffs the set against the
 generated component -- the two computations share no code path.
 
 The predicates are table-driven, so one test costs O(support): the
@@ -27,8 +31,9 @@ test diffs the two on every string of the oracle boxes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 from operator import mul
 
 from .cartan import BorcherdsCartanDatum, Weight, make_datum
@@ -74,15 +79,7 @@ def rank2_member(x, p: Rank2Params) -> bool:
       (ii) whenever x_{2k} > 0 with k >= 2, both x_{2k-1} > 0 and
            a x_{2k} - x_{2k+1} > 0.
     """
-    a, n = p.a, len(x)
-    for k in range(1, n, 2):  # x[k] is x_{2j} for j = (k + 1) / 2
-        v = x[k]
-        gate = a * v - (x[k + 1] if k + 1 < n else 0)
-        if gate < 0:
-            return False
-        if v > 0 and k > 1 and (x[k - 1] == 0 or gate <= 0):
-            return False
-    return True
+    return _rank2_conditions(x, p)
 
 
 def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
@@ -95,21 +92,28 @@ def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
     When <h_2, lam> = 0 the first imaginary variable behaves exactly
     like the later ones, so the k = 1 instance of the base condition
     (ii) -- support from the right and a strict gate to the left --
-    applies to it as well; that is the second half of (b).  Dropping it
-    admits strings the component provably avoids (e.g. (1, 1, 1) for
-    a = 1, <h_1, lam> = 1, <h_2, lam> = 0, whose only lowering path
-    would pass through the excluded (0, 1))."""
-    if not rank2_member(x, p):
-        return False
-    x1, x2, x3 = (*x[:3], 0, 0, 0)[:3]
-    if x1 > datum.pairing(0, lam):
-        return False
-    if x2 > 0 and datum.pairing(1, lam) == 0:
-        if x1 == 0:
+    applies to it as well; that is (b).  Dropping it admits strings the
+    component provably avoids (e.g. (1, 1, 1) for a = 1,
+    <h_1, lam> = 1, <h_2, lam> = 0, whose only lowering path would pass
+    through the excluded (0, 1))."""
+    return _rank2_conditions(x, p, datum, lam)
+
+
+def _rank2_conditions(x, p: Rank2Params, datum=None, lam=None) -> bool:
+    """(i), (ii) of ``rank2_member``; with lam, also (a), and (ii) at
+    k = 1 when <h_2, lam> = 0 (without lam the budget is unbounded)."""
+    a, n = p.a, len(x)
+    # x[k] is x_{2j}, j = (k + 1) / 2; k = 1, the one instance lam can waive, goes
+    # last, so its budget is read only once every other instance holds
+    for k in reversed(range(1, n, 2)):
+        v = x[k]
+        gate = a * v - (x[k + 1] if k + 1 < n else 0)
+        if gate < 0:
             return False
-        if p.a * x2 - x3 <= 0:
-            return False
-    return True
+        if v > 0 and (x[k - 1] == 0 or gate <= 0):
+            if k > 1 or lam is not None and datum.pairing(1, lam) == 0:
+                return False
+    return lam is None or not x or x[0] <= datum.pairing(0, lam)
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,7 @@ class _SequenceTables:
         self.real = real = [model.real_position(0) - 1]
         while real[-1] < length:
             real.append(model.real_position(len(real)) - 1)
-        self.slots = slots = []
-        n = 0
-        for p in range(length):
-            while real[n] <= p:
-                n += 1
-            slots.append(n)
+        self.slots = [bisect_right(real, p) for p in range(length)]
 
     def gate_slack(self, x, n: int) -> int:
         """Slack of the supporting inequality (ii) at real slot n:
@@ -223,38 +222,7 @@ class MonsterModel:
               real slots the supporting inequality of (ii) must be strict
               at the unique real slot between the two occurrences.
         """
-        support = len(x)
-        t = self._tables_for(support)
-        real, row0 = t.real, t.pair[0]
-        if real[1] < support and x[real[1]] != 0:
-            return False
-        n = 1
-        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
-            lo, hi = real[n] + 1, real[n + 1]
-            if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
-                return False
-            n += 1
-        idx, prev = t.idx, t.prev
-        for k in compress(range(support), x):
-            i = idx[k]
-            if i == 0:
-                continue
-            start = prev[k] + 1  # just after the previous occurrence of i
-            if start == 0:
-                continue
-            if sum(map(mul, t.pair[i][start:k], x[start:k])) >= 0:
-                return False
-            if all(x[l] == 0 for l in range(start, k) if idx[l] != 0):
-                # the real slots strictly between the occurrences: first..stop-1
-                first, stop = t.slots[start - 1], t.slots[k - 1]
-                if stop - first != 1:
-                    raise MonsterConditionError(
-                        f"expected one real slot in ({start}, {k + 1}), "
-                        f"found {list(range(first, stop))}"
-                    )
-                if t.gate_slack(x, first) <= 0:
-                    return False
-        return True
+        return self._conditions(x)
 
     def highest_weight_member(self, x, lam: Weight) -> bool:
         """Base conditions plus, for dominant lam:
@@ -269,71 +237,68 @@ class MonsterModel:
 
         A first occurrence with <h_i, lam> = 0 is subject to the same
         mechanism as a repeat occurrence, with the lam budget playing
-        the role of the previous occurrence; the strictness clause
-        mirrors the one in (iii) and is pinned down by the generation
-        oracle."""
-        if not self.member(x):
+        the role of the previous occurrence: (b) is (iii) with its
+        window opened at position 1.  Since <h_i, alpha_j> <= 0 for an
+        imaginary i, "some negative term" is "negative mass"."""
+        return self._conditions(x, lam)
+
+    def _conditions(self, x, lam=None) -> bool:
+        """(i)-(iii) of ``member``; with lam, also (a), and (iii) at first
+        occurrences of i with <h_i, lam> = 0, whose budgets are read only
+        once every other condition holds (without lam, none binds)."""
+        support = len(x)
+        t = self._tables_for(support)
+        real, row0 = t.real, t.pair[0]
+        if real[1] < support and x[real[1]] != 0:
             return False
-        datum = self.datum
-        if (x[0] if x else 0) > datum.pairing(0, lam):
-            return False
-        t = self._tables_for(len(x))
-        idx, prev = t.idx, t.prev
-        for k in compress(range(len(x)), x):
-            i = idx[k]
-            if i == 0 or datum.pairing(i, lam) != 0 or prev[k] != -1:
-                continue
-            row = t.pair[i]
-            if not any(row[l] < 0 and x[l] > 0 for l in range(k)):
+        n = 1
+        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
+            lo, hi = real[n] + 1, real[n + 1]
+            if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
                 return False
-            if all(x[l] == 0 for l in range(k) if idx[l] != 0):
-                n = t.slots[k - 1] - 1 if k else 0  # last real slot before k
-                if t.gate_slack(x, n) <= 0:
+            n += 1
+        idx, prev = t.idx, t.prev
+        unpaid = []  # first occurrences that (iii) rejects unless lam pays
+        for k in compress(range(support), x):
+            i, start = idx[k], prev[k] + 1  # start: just after the previous occurrence of i
+            if i == 0 or start == 0 and lam is None:
+                continue
+            held = sum(map(mul, t.pair[i][start:k], x[start:k])) < 0
+            if held and all(x[l] == 0 for l in range(start, k) if idx[l] != 0):
+                n = t.slots[k - 1] - 1  # the last real slot before k
+                if start and t.slots[start - 1] != n:
+                    raise MonsterConditionError(
+                        f"expected one real slot in ({start}, {k + 1}), "
+                        f"found {list(range(t.slots[start - 1], n + 1))}"
+                    )
+                held = t.gate_slack(x, n) > 0
+            if not held:
+                if start:
                     return False
-        return True
-
-
-def _compositions_lex(total: int, positions: int):
-    """All tuples of ``positions`` nonnegative ints summing to ``total``,
-    in ascending lexicographic order."""
-    if positions == 0:
-        if total == 0:
-            yield ()
-        return
-    x = [0] * positions
-    x[-1] = total
-    while True:
-        yield tuple(x)
-        right = x[-1]
-        j = positions - 2
-        while j >= 0 and right == 0:
-            right += x[j]
-            j -= 1
-        if j < 0:
-            return
-        x[j] += 1
-        for l in range(j + 1, positions):
-            x[l] = 0
-        x[-1] = right - 1
+                unpaid.append(i)
+        pairing = self.datum.pairing
+        return lam is None or (
+            all(pairing(i, lam) for i in unpaid) and (not x or x[0] <= pairing(0, lam)))
 
 
 def iter_bounded_strings(positions: int, max_height: int):
-    """Graded lexicographic enumeration: by total height, then lex."""
-    for h in range(max_height + 1):
-        yield from _compositions_lex(h, positions)
+    """Every string of height <= max_height supported on the first
+    ``positions`` positions, once each and without trailing zeros, by
+    nondecreasing height: a string of height h is a multiset of h
+    positions."""
+    yield ()
+    for h in range(1, max_height + 1):
+        for c in combinations_with_replacement(range(positions), h):
+            x = [0] * (c[-1] + 1)
+            for p in c:
+                x[p] += 1
+            yield tuple(x)
 
 
 def default_position_bound(seq: IndexSequence, depth: int) -> int:
     """Positions a depth-bounded generation can ever touch: each
     lowering extends the support by at most one cycle."""
     return len(seq.prefix) + (depth + 1) * len(seq.cycle)
-
-
-def _strip(x):
-    n = len(x)
-    while n and x[n - 1] == 0:
-        n -= 1
-    return x[:n]
 
 
 @dataclass
@@ -381,32 +346,23 @@ def compare_predicate_with_bfs(
     the same depth (the highest-weight one when ``lam`` is given), and
     reports the set differences plus both per-weight multiplicity tables.
     """
-    passing = set()
-    for x in iter_bounded_strings(default_position_bound(seq, depth), depth):
-        xs = _strip(x)
-        if member(xs):
-            passing.add(xs)
+    passing = set(filter(member, iter_bounded_strings(default_position_bound(seq, depth), depth)))
 
-    crystal = StringCrystal(datum, seq)
     if lam is None:
         graph = realize_binfinity(datum, seq, depth)
         generated = {node.elt.x for node in graph.nodes}
-        shift = datum.zero_weight()
     else:
         graph = realize_highest_weight(datum, seq, lam, depth)
         generated = {node.elt.factors[0].x for node in graph.nodes}
-        shift = lam
-
-    predicate_counts = {}
-    for xs in passing:
-        w = crystal.wt(crystal.element(xs)) + shift
-        predicate_counts[w] = predicate_counts.get(w, 0) + 1
-    predicate_char = sorted(predicate_counts.items(), key=lambda kv: kv[0].sort_key())
+    crystal = StringCrystal(datum, seq)
+    shift = datum.zero_weight() if lam is None else lam
 
     return OracleReport(
         missing_in_bfs=sorted(passing - generated),
         missing_in_predicate=sorted(generated - passing),
         char=weight_multiplicities(graph),
-        predicate_char=predicate_char,
+        predicate_char=weight_multiplicities(
+            crystal.wt(crystal.element(xs)) + shift for xs in passing
+        ),
         depth=depth,
     )

@@ -24,6 +24,7 @@ component, that indicates an operator bug).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .cartan import Weight, ext_to_json
 from .crystals import (
@@ -325,9 +326,9 @@ def graphs_isomorphic(g1, g2) -> bool:
     return e1 == e2
 
 
-def weight_multiplicities(graph):
-    """Sorted (weight, multiplicity) table of the graph's nodes."""
-    counts = {}
-    for node in graph.nodes:
-        counts[node.wt] = counts.get(node.wt, 0) + 1
-    return sorted(counts.items(), key=lambda kv: kv[0].sort_key())
+def weight_multiplicities(weights):
+    """Sorted (weight, multiplicity) table of an iterable of weights; a
+    graph stands for the weights of its nodes."""
+    if isinstance(weights, CrystalGraph):
+        weights = (node.wt for node in weights.nodes)
+    return sorted(Counter(weights).items(), key=lambda kv: kv[0].sort_key())

@@ -279,6 +279,8 @@ class TestBadInputsExitTwo:
         ["check", "assoc", "--datum", "{d1}", "--trials", "0"],
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;zz"],
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;1"],
+        # the text is split on "," and ";", so "(1,1)" is read as "(1" and "1)"
+        ["gen", "--datum", "{monster}", "--depth", "1", "--seq", "explicit:(-1,1);(1,1),(-1,1)"],
         ["check", "embedding", "--datum", "{d1}", "--depth", "1", "--index", "nope"],
         ["gen", "--datum", "{d1}", "--mode", "binf", "--lambda", "garbage", "--depth", "1"],
         ["check", "profile", "--datum", "{d1}", "--lambda", "zz", "--depth", "1"],
@@ -286,12 +288,14 @@ class TestBadInputsExitTwo:
          "--lambda", "garbage", "--lambda-real", "1"],
     ], ids=[
         "oracle-rank2-depth", "oracle-monster-depth", "gen-depth", "axioms-trials",
-        "assoc-trials", "unknown-index-name", "index-never-recurs", "embedding-index",
+        "assoc-trials", "unknown-index-name", "index-never-recurs", "monster-explicit-name",
+        "embedding-index",
         "lambda-without-hw-mode", "profile-lambda-without-hw-mode",
         "lambda-and-lambda-real",
     ])
-    def test_rejected(self, d1_file, argv):
-        assert exit_code([d1_file if a == "{d1}" else a for a in argv]) == 2
+    def test_rejected(self, d1_file, monster_file, argv):
+        files = {"{d1}": d1_file, "{monster}": monster_file}
+        assert exit_code([files.get(a, a) for a in argv]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--datum", "{d1}", "--depth", "1", "--out"],

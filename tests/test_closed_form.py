@@ -1,13 +1,10 @@
 import json
+from itertools import product
 
 import pytest
 
 import gkmcrystals as G
-from gkmcrystals.closed_form import (
-    _compositions_lex,
-    default_position_bound,
-    iter_bounded_strings,
-)
+from gkmcrystals.closed_form import default_position_bound, iter_bounded_strings
 
 
 class TestRank2Params:
@@ -148,13 +145,20 @@ class TestMonsterModel:
 
 
 class TestEnumeration:
-    def test_compositions_cover_and_order(self):
-        got = list(_compositions_lex(2, 3))
-        assert got == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
-
-    def test_graded_lex(self):
-        got = list(iter_bounded_strings(2, 2))
-        assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    @pytest.mark.parametrize("positions,height", [(0, 2), (1, 3), (2, 2), (3, 3), (4, 2)])
+    def test_box_is_the_stripped_product_filter(self, positions, height):
+        got = list(iter_bounded_strings(positions, height))
+        assert len(got) == len(set(got))
+        assert all(not x or x[-1] for x in got)
+        heights = [sum(x) for x in got]
+        assert heights == sorted(heights)
+        brute = set()
+        for x in product(range(height + 1), repeat=positions):
+            if sum(x) <= height:
+                while x and not x[-1]:
+                    x = x[:-1]
+                brute.add(x)
+        assert set(got) == brute
 
     def test_counts(self):
         assert len(list(iter_bounded_strings(4, 3))) == 35  # C(7,3)
@@ -188,6 +192,16 @@ class TestOracleCompare:
     def test_monster_base(self, toy_monster):
         report = G.compare_predicate_with_bfs(
             toy_monster.member, toy_monster.datum, toy_monster.sequence, 3
+        )
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("names", [("(1,1)",), ("(-1,1)", "(2,1)")])
+    def test_monster_highest_weight_imaginary_budget(self, toy_monster, names):
+        datum = toy_monster.datum
+        lam = datum.weight(lam=[int(n in names) for n in datum.index_names])
+        report = G.compare_predicate_with_bfs(
+            lambda x: toy_monster.highest_weight_member(x, lam),
+            datum, toy_monster.sequence, 3, lam=lam,
         )
         assert report.ok, report.summary()
 

@@ -1,14 +1,13 @@
 """The table-driven closed-form predicates against the reference
 position-by-position evaluation they replace, on every string of the
 oracle's height x position box (stripped, as the oracle passes them,
-and with their trailing zeros)."""
+and padded with trailing zeros to the box width)."""
 
 import pytest
 
 import gkmcrystals as G
 from gkmcrystals.closed_form import (
     MonsterConditionError,
-    _strip,
     default_position_bound,
     iter_bounded_strings,
 )
@@ -21,10 +20,11 @@ MONSTER_MODELS = [(2, (2, 1)), (3, (1, 1, 1)), (2, (1, 1))]
 
 
 def box(seq, depth):
-    """Every box string, unstripped and stripped."""
-    for x in iter_bounded_strings(default_position_bound(seq, depth), depth):
+    """Every box string, stripped and padded to the box width."""
+    width = default_position_bound(seq, depth)
+    for x in iter_bounded_strings(width, depth):
         yield x
-        yield _strip(x)
+        yield x + (0,) * (width - len(x))
 
 
 def disagreements(new, old, strings):
@@ -70,18 +70,30 @@ def test_monster_member_matches_reference(level, mults):
     assert not bad, bad[:5]
 
 
+def monster_lambdas(datum):
+    """0 and Lambda_real, plus weights with a nonzero imaginary budget:
+    Lambda_(1,1) and Lambda_real + Lambda_(2,1)."""
+    real, i11, i21 = (datum.index_of(n) for n in ("(-1,1)", "(1,1)", "(2,1)"))
+    return [
+        ("0", datum.zero_weight()),
+        ("Lambda_real", datum.fundamental(real)),
+        ("Lambda_(1,1)", datum.fundamental(i11)),
+        ("Lambda_real + Lambda_(2,1)", datum.fundamental(real) + datum.fundamental(i21)),
+    ]
+
+
 @pytest.mark.parametrize("level,mults", MONSTER_MODELS)
 def test_monster_highest_weight_member_matches_reference(level, mults):
     model = G.MonsterModel(G.MonsterParams(level, mults))
+    datum = model.datum
     strings = list(box(model.sequence, 3))
-    for k in (0, 1):
-        lam = model.datum.fundamental(0).scaled(k)
+    for name, lam in monster_lambdas(datum):
         bad = disagreements(
             lambda x: model.highest_weight_member(x, lam),
             lambda x: ref.monster_highest_weight_member(model, x, lam),
             strings,
         )
-        assert not bad, (k, bad[:5])
+        assert not bad, (name, bad[:5])
 
 
 def test_malformed_sequence_raises(toy_monster):
