@@ -499,9 +499,10 @@ def _transport(src, dst, root_image) -> tuple:
     """Push the source graph along lowering edges into the target.
 
     The image of the root is prescribed; every other node's image is
-    f_i(image of parent) for each incoming edge (u, i), and all incoming
-    edges must agree -- that re-derivation is the executable content of
-    the uniqueness claims.  Disagreements are reported with both paths.
+    f_i(image of parent), read off the target's lowering fan, for each
+    incoming edge (u, i), and all incoming edges must agree -- that
+    re-derivation is the executable content of the uniqueness claims.
+    Disagreements are reported with both paths.
     """
     rep = CheckReport()
     if root_image not in dst.ids:
@@ -517,15 +518,13 @@ def _transport(src, dst, root_image) -> tuple:
             if u not in images:
                 rep.skipped += 1
                 continue
-            parent_elt = dst.nodes[images[u]].elt
-            candidate = dst.crystal.f(i, parent_elt)
+            cid = dst.nodes[images[u]].f_ids[i]
             path = paths[u] + (i,)
             rep.checked += 1
-            if candidate is None:
+            if cid is None:
                 rep.add(v, i, "transport_zero", "nonzero lowering", f"path {path}")
                 continue
-            cid = dst.ids.get(candidate)
-            if cid is None:
+            if cid is CUT:
                 rep.add(v, i, "transport_escape", "target node", f"path {path}")
                 continue
             if v not in images:
@@ -535,7 +534,7 @@ def _transport(src, dst, root_image) -> tuple:
                 rep.add(
                     v, i, "path_disagreement",
                     (paths[v], dst.nodes[images[v]].elt),
-                    (path, candidate),
+                    (path, dst.nodes[cid].elt),
                 )
         if v not in images:
             rep.coverage_errors.append(f"no image could be derived for node {v}")

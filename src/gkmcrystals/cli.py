@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from .cartan import DatumConditionError, DatumFormatError, DatumShapeError, load_datum_file
@@ -90,10 +91,12 @@ def _resolve_sequence(datum, seq_arg, file_spec):
             )
         spec = file_spec
     elif seq_arg.startswith("explicit:"):
-        body = seq_arg[len("explicit:"):]
-        if ";" not in body:
+        # a separator inside parentheses belongs to an index name such as (1,1)
+        top = r"(?![^(]*\))"
+        parts = re.split(";" + top, seq_arg[len("explicit:"):], maxsplit=1)
+        if len(parts) != 2:
             raise UsageError('explicit sequence syntax is "explicit:p1,p2;c1,c2"')
-        prefix, cycle = ([s for s in part.split(",") if s] for part in body.split(";", 1))
+        prefix, cycle = ([s for s in re.split("," + top, part) if s] for part in parts)
         spec = {"kind": "explicit", "prefix": prefix, "cycle": cycle}
     else:
         raise UsageError(f"unknown sequence spec {seq_arg!r}")
@@ -316,9 +319,8 @@ def _add_generation_options(parser, with_output):
                         help="comma-separated fundamental-weight coefficients (hw mode only)")
     parser.add_argument("--depth", type=_nonnegative_int, required=True)
     parser.add_argument("--seq", default=None,
-                        help='cyclic | monster | "explicit:p1,p2;c1,c2"; names are split '
-                             'on "," and ";", so a Monster name such as "(1,1)" cannot '
-                             'be given here: use the datum file\'s "sequence" entry')
+                        help='cyclic | monster | "explicit:p1,p2;c1,c2"; a "," or ";" '
+                             'inside parentheses is part of a name such as "(1,1)"')
     if with_output:
         parser.add_argument("--format", choices=("json", "dot"), default="json")
         parser.add_argument("--out", default=None)

@@ -110,9 +110,6 @@ class StringElement:
         if self.x and self.x[-1] == 0:
             raise ValueError("strings must carry no trailing zeros")
 
-    def height(self) -> int:
-        return sum(self.x)
-
 
 @dataclass(frozen=True)
 class TensorElement:

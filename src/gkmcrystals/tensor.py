@@ -27,6 +27,8 @@ rather than an assumption.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
 from typing import NamedTuple
 
 from .checks import CheckReport
@@ -148,34 +150,28 @@ def bracket_phi(datum, i, tree):
 
 
 def bracket_lower(datum, i, tree):
-    if isinstance(tree, BracketLeaf):
-        r = tree.crystal.f(i, tree.elt)
-        return None if r is None else BracketLeaf(tree.crystal, r)
-    side = lowering_side(bracket_phi(datum, i, tree.left), bracket_eps(datum, i, tree.right))
-    if side == LEFT:
-        sub = bracket_lower(datum, i, tree.left)
-        return None if sub is None else BracketPair(sub, tree.right)
-    sub = bracket_lower(datum, i, tree.right)
-    return None if sub is None else BracketPair(tree.left, sub)
+    return _bracket_act(datum, i, tree, "f", lowering_side)
 
 
 def bracket_raise(datum, i, tree):
+    return _bracket_act(datum, i, tree, "e", partial(raising_side, datum.is_real(i), datum.a(i, i)))
+
+
+def _bracket_act(datum, i, tree, op, side):
+    """Act with the leaf operator ``op`` ("f" or "e") on the factor that
+    ``side`` picks from phi_i(left) and eps_i(right) at each level; a zero
+    there, or ZERO (the raising dead band), gives the crystal zero."""
     if isinstance(tree, BracketLeaf):
-        r = tree.crystal.e(i, tree.elt)
+        r = getattr(tree.crystal, op)(i, tree.elt)
         return None if r is None else BracketLeaf(tree.crystal, r)
-    side = raising_side(
-        datum.is_real(i),
-        datum.a(i, i),
-        bracket_phi(datum, i, tree.left),
-        bracket_eps(datum, i, tree.right),
-    )
-    if side == ZERO:
-        return None
-    if side == LEFT:
-        sub = bracket_raise(datum, i, tree.left)
+    picked = side(bracket_phi(datum, i, tree.left), bracket_eps(datum, i, tree.right))
+    if picked == LEFT:
+        sub = _bracket_act(datum, i, tree.left, op, side)
         return None if sub is None else BracketPair(sub, tree.right)
-    sub = bracket_raise(datum, i, tree.right)
-    return None if sub is None else BracketPair(tree.left, sub)
+    if picked == RIGHT:
+        sub = _bracket_act(datum, i, tree.right, op, side)
+        return None if sub is None else BracketPair(tree.left, sub)
+    return None
 
 
 def bracket_leaves(tree):
@@ -206,33 +202,25 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     datum = g1.datum
     if g2.datum != datum or g3.datum != datum:
         raise ValueError("graphs must share one datum")
+    # every comparison made per triple, in report order: (index, law, evaluator)
+    laws = [(None, "assoc_wt", lambda d, k, t: bracket_wt(t))] + [
+        (i, law, evaluate)
+        for i in datum.indices()
+        for law, evaluate in (
+            ("assoc_eps", bracket_eps),
+            ("assoc_phi", bracket_phi),
+            ("assoc_f", lambda d, k, t: bracket_leaves(bracket_lower(d, k, t))),
+            ("assoc_e", lambda d, k, t: bracket_leaves(bracket_raise(d, k, t))),
+        )
+    ]
     rep = CheckReport()
-    for b1 in g1.elements():
-        leaf1 = BracketLeaf(g1.crystal, b1)
-        for b2 in g2.elements():
-            leaf2 = BracketLeaf(g2.crystal, b2)
-            for b3 in g3.elements():
-                leaf3 = BracketLeaf(g3.crystal, b3)
-                lhs = BracketPair(BracketPair(leaf1, leaf2), leaf3)
-                rhs = reassociate(lhs)
-                tag = (b1, b2, b3)
-                rep.checked += 1
-                if bracket_wt(lhs) != bracket_wt(rhs):
-                    rep.add(tag, None, "assoc_wt", bracket_wt(lhs), bracket_wt(rhs))
-                for i in datum.indices():
-                    rep.checked += 4
-                    le, re_ = bracket_eps(datum, i, lhs), bracket_eps(datum, i, rhs)
-                    if le != re_:
-                        rep.add(tag, i, "assoc_eps", le, re_)
-                    lp, rp = bracket_phi(datum, i, lhs), bracket_phi(datum, i, rhs)
-                    if lp != rp:
-                        rep.add(tag, i, "assoc_phi", lp, rp)
-                    lf = bracket_leaves(bracket_lower(datum, i, lhs))
-                    rf = bracket_leaves(bracket_lower(datum, i, rhs))
-                    if lf != rf:
-                        rep.add(tag, i, "assoc_f", lf, rf)
-                    lr = bracket_leaves(bracket_raise(datum, i, lhs))
-                    rr = bracket_leaves(bracket_raise(datum, i, rhs))
-                    if lr != rr:
-                        rep.add(tag, i, "assoc_e", lr, rr)
+    leaves = [[BracketLeaf(g.crystal, b) for b in g.elements()] for g in (g1, g2, g3)]
+    for leaf1, leaf2, leaf3 in product(*leaves):
+        lhs = BracketPair(BracketPair(leaf1, leaf2), leaf3)
+        rhs = reassociate(lhs)
+        rep.checked += len(laws)
+        for i, law, evaluate in laws:
+            lv, rv = evaluate(datum, i, lhs), evaluate(datum, i, rhs)
+            if lv != rv:
+                rep.add((leaf1.elt, leaf2.elt, leaf3.elt), i, law, lv, rv)
     return rep

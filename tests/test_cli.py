@@ -128,6 +128,23 @@ class TestGen:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["nodes"]) == 3
 
+    def test_explicit_sequence_flag_names_monster_indices(self, monster_file, tmp_path, capsys):
+        # the "," inside "(1,1)" belongs to the name; the flag and the same
+        # spec in a datum file's "sequence" entry give the same bytes
+        names = ["(-1,1)", "(1,1)", "(1,2)", "(2,1)"]
+        assert main([
+            "gen", "--datum", monster_file, "--depth", "3", "--seq", "explicit:;" + ",".join(names),
+        ]) == 0
+        from_flag = capsys.readouterr().out
+        path = tmp_path / "explicit.json"
+        G.save_datum_file(
+            path, make_toy_monster().datum,
+            sequence_spec={"kind": "explicit", "prefix": [], "cycle": names},
+        )
+        assert main(["gen", "--datum", str(path), "--depth", "3"]) == 0
+        assert capsys.readouterr().out == from_flag
+        assert len(json.loads(from_flag)["nodes"]) > 1
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main([
             "gen", "--datum", str(tmp_path / "nope.json"), "--depth", "1",
@@ -279,8 +296,9 @@ class TestBadInputsExitTwo:
         ["check", "assoc", "--datum", "{d1}", "--trials", "0"],
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;zz"],
         ["gen", "--datum", "{d1}", "--depth", "1", "--seq", "explicit:;1"],
-        # the text is split on "," and ";", so "(1,1)" is read as "(1" and "1)"
+        # the names parse, but the cycle omits (1,2) and (2,1), which never recur
         ["gen", "--datum", "{monster}", "--depth", "1", "--seq", "explicit:(-1,1);(1,1),(-1,1)"],
+        ["gen", "--datum", "{monster}", "--depth", "1", "--seq", "explicit:;(1,1"],
         ["check", "embedding", "--datum", "{d1}", "--depth", "1", "--index", "nope"],
         ["gen", "--datum", "{d1}", "--mode", "binf", "--lambda", "garbage", "--depth", "1"],
         ["check", "profile", "--datum", "{d1}", "--lambda", "zz", "--depth", "1"],
@@ -289,7 +307,7 @@ class TestBadInputsExitTwo:
     ], ids=[
         "oracle-rank2-depth", "oracle-monster-depth", "gen-depth", "axioms-trials",
         "assoc-trials", "unknown-index-name", "index-never-recurs", "monster-explicit-name",
-        "embedding-index",
+        "monster-unbalanced-parenthesis", "embedding-index",
         "lambda-without-hw-mode", "profile-lambda-without-hw-mode",
         "lambda-and-lambda-real",
     ])
