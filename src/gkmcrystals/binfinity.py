@@ -403,7 +403,9 @@ def audit_binfinity_truncation(graph) -> list:
 
 
 def highest_weight_crystal(datum, seq: IndexSequence, lam: Weight) -> TensorCrystal:
-    """(strings) ⊗ t_lam ⊗ c, the carrier of the B(lambda) realization."""
+    """(strings) ⊗ t_lam ⊗ c, the carrier of B(lambda) for dominant lam."""
+    if not datum.is_dominant(lam):
+        raise ValueError(f"weight {lam} is not dominant")
     return TensorCrystal(
         StringCrystal(datum, seq), ShiftCrystal(datum, lam), UnitCrystal(datum)
     )
@@ -416,8 +418,6 @@ def highest_weight_root(crystal: TensorCrystal) -> TensorElement:
 
 def realize_highest_weight(datum, seq: IndexSequence, lam: Weight, depth: int) -> CrystalGraph:
     """Component of (zero string) ⊗ t_lam ⊗ c for dominant lam."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
     crystal = highest_weight_crystal(datum, seq, lam)
     graph = bfs_component(crystal, highest_weight_root(crystal), depth)
     if graph.closure_failures:

@@ -283,10 +283,6 @@ class BorcherdsCartanDatum:
         return self.cartan[i][i] <= 0
 
     @property
-    def real_indices(self):
-        return tuple(i for i in self.indices() if self.is_real(i))
-
-    @property
     def imaginary_indices(self):
         return tuple(i for i in self.indices() if self.is_imaginary(i))
 

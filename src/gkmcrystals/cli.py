@@ -312,20 +312,6 @@ def _positive_int(text) -> int:
     return value
 
 
-def _add_generation_options(parser, with_output):
-    parser.add_argument("--datum", required=True, help="datum JSON file")
-    parser.add_argument("--mode", choices=("binf", "hw"), default="binf")
-    parser.add_argument("--lambda", dest="lam", default=None,
-                        help="comma-separated fundamental-weight coefficients (hw mode only)")
-    parser.add_argument("--depth", type=_nonnegative_int, required=True)
-    parser.add_argument("--seq", default=None,
-                        help='cyclic | monster | "explicit:p1,p2;c1,c2"; a "," or ";" '
-                             'inside parentheses is part of a name such as "(1,1)"')
-    if with_output:
-        parser.add_argument("--format", choices=("json", "dot"), default="json")
-        parser.add_argument("--out", default=None)
-
-
 def _command(subs, name, handler, **kwargs):
     """A subcommand parser whose ``handler`` default is what ``main`` calls."""
     parser = subs.add_parser(name, **kwargs)
@@ -340,58 +326,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(subs, "validate", cmd_validate, help="validate a Borcherds-Cartan datum file")
-    p.add_argument("--datum", required=True)
+    # each shared option is declared once, in a parent parser of its own
+    datum = argparse.ArgumentParser(add_help=False)
+    datum.add_argument("--datum", required=True, help="datum JSON file")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=_nonnegative_int, required=True, help="depth bound")
+    seq = argparse.ArgumentParser(add_help=False)
+    seq.add_argument("--seq", default=None,
+                     help='cyclic | monster | "explicit:p1,p2;c1,c2"; a "," or ";" '
+                          'inside parentheses is part of a name such as "(1,1)"')
+    lam_help = "comma-separated fundamental-weight coefficients of a dominant lambda"
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", default=None, help=lam_help)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the export or JSON report to this file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="random seed (default: drawn)")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=("binf", "hw"), default="binf", help="B(inf) or B(lambda)")
+    generation = [datum, mode, lam, depth, seq]
 
-    p = _command(subs, "gen", cmd_gen, help="generate a component graph (JSON or DOT)")
-    _add_generation_options(p, with_output=True)
-
-    p = _command(subs, "char", cmd_char, help="print the weight-multiplicity table")
-    _add_generation_options(p, with_output=False)
+    _command(subs, "validate", cmd_validate, parents=[datum],
+             help="validate a Borcherds-Cartan datum file")
+    p = _command(subs, "gen", cmd_gen, parents=[*generation, out],
+                 help="generate a component graph (JSON or DOT)")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
+    _command(subs, "char", cmd_char, parents=generation,
+             help="print the weight-multiplicity table")
 
     p = subs.add_parser("check", help="run a verification bundle")
     checks = p.add_subparsers(dest="subcommand", required=True)
 
-    c = _command(checks, "axioms", cmd_axioms)
-    c.add_argument("--datum", required=True)
+    c = _command(checks, "axioms", cmd_axioms, parents=[datum, seed])
     c.add_argument("--trials", type=_positive_int, default=100)
-    c.add_argument("--seed", type=int, default=None)
 
-    c = _command(checks, "assoc", cmd_assoc)
-    c.add_argument("--datum", required=True)
+    c = _command(checks, "assoc", cmd_assoc, parents=[datum, seed])
     c.add_argument("--trials", type=_positive_int, default=20)
-    c.add_argument("--seed", type=int, default=None)
 
-    c = _command(checks, "oracle-rank2", cmd_oracle_rank2)
+    c = _command(checks, "oracle-rank2", cmd_oracle_rank2, parents=[depth, lam, out])
     c.add_argument("--abc", required=True, help='rank-2 parameters "a,b,c"')
-    c.add_argument("--depth", type=_nonnegative_int, required=True)
-    c.add_argument("--lambda", dest="lam", default=None)
-    c.add_argument("--out", default=None)
 
-    c = _command(checks, "oracle-monster", cmd_oracle_monster)
+    c = _command(checks, "oracle-monster", cmd_oracle_monster, parents=[depth, out])
     c.add_argument("--level", type=int, required=True)
     c.add_argument("--mult", required=True, help='multiplicities "m1,m2,..."')
-    c.add_argument("--depth", type=_nonnegative_int, required=True)
     weight = c.add_mutually_exclusive_group()
-    weight.add_argument("--lambda", dest="lam", default=None)
+    weight.add_argument("--lambda", dest="lam", default=None, help=lam_help)
     weight.add_argument("--lambda-real", dest="lam_real", type=_nonnegative_int, default=None,
                         help="coefficient of the real fundamental weight")
-    c.add_argument("--out", default=None)
 
-    c = _command(checks, "projection", cmd_projection)
-    c.add_argument("--datum", required=True)
-    c.add_argument("--lambda", dest="lam", required=True)
-    c.add_argument("--depth", type=_nonnegative_int, required=True)
-    c.add_argument("--seq", default=None)
+    c = _command(checks, "projection", cmd_projection, parents=[datum, depth, seq])
+    c.add_argument("--lambda", dest="lam", required=True, help=lam_help)
 
-    c = _command(checks, "embedding", cmd_embedding)
-    c.add_argument("--datum", required=True)
-    c.add_argument("--depth", type=_nonnegative_int, required=True)
-    c.add_argument("--seq", default=None)
+    c = _command(checks, "embedding", cmd_embedding, parents=[datum, depth, seq])
     c.add_argument("--index", default=None, help="index name (default: all)")
 
-    c = _command(checks, "profile", cmd_profile)
-    _add_generation_options(c, with_output=False)
+    _command(checks, "profile", cmd_profile, parents=generation)
 
     return parser
 

@@ -144,8 +144,8 @@ def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
 
 
 class _SequenceTables:
-    """Per-position tables of a Monster-type model for positions
-    0..length-1 (position p holds x_{p+1}):
+    """Per-position tables of a Monster-type model along the index array
+    ``idx`` of its sequence (position p holds x_{p+1}):
 
     * ``idx[p]``    the index i_{p+1};
     * ``prev[p]``   the previous position carrying the same index, -1 if
@@ -153,24 +153,22 @@ class _SequenceTables:
     * ``pair[i][p]`` the Cartan entry a(i, i_{p+1}); ``pair[0]`` is row 0
       read along the sequence;
     * ``real[n]``   the position b(n) - 1 of real slot n, for every n up
-      to the first slot at or beyond ``length``;
+      to the first slot at or beyond ``len(idx)``;
     * ``slots[p]``  the number of real slots at positions <= p.
     """
 
-    def __init__(self, model, length: int):
-        seq, cartan = model.sequence, model.datum.cartan
-        self.sequence = seq
-        self.idx = idx = seq.indices(length)[:length]
-        self.pair = [[row[i] for i in idx] for row in cartan]
+    def __init__(self, model, idx: list):
+        self.idx = idx
+        self.pair = [[row[i] for i in idx] for row in model.datum.cartan]
         last = {}
         self.prev = prev = []
         for p, i in enumerate(idx):
             prev.append(last.get(i, -1))
             last[i] = p
         self.real = real = [model.real_position(0) - 1]
-        while real[-1] < length:
+        while real[-1] < len(idx):
             real.append(model.real_position(len(real)) - 1)
-        self.slots = [bisect_right(real, p) for p in range(length)]
+        self.slots = [bisect_right(real, p) for p in range(len(idx))]
 
     def gate_slack(self, x, n: int) -> int:
         """Slack of the supporting inequality (ii) at real slot n:
@@ -187,8 +185,7 @@ class MonsterModel:
 
     The predicates read the string against per-position tables of the
     sequence (index array, previous occurrences, Cartan entries, real
-    slots), built on first use and rebuilt longer when a longer string
-    arrives or when ``sequence`` has been replaced.
+    slots), rebuilt whenever ``sequence.indices`` returns another array.
     """
 
     def __init__(self, params: MonsterParams):
@@ -203,11 +200,13 @@ class MonsterModel:
         return monster_real_position(n, self.params.multiplicities)
 
     def _tables_for(self, length: int) -> _SequenceTables:
-        """Tables of the current sequence covering at least ``length``
-        positions; a rebuild at least doubles the covered length."""
+        """Tables of the current sequence over at least ``length`` + 1
+        positions, so that ``real`` reaches past the support even for
+        the empty string, whose cache may still be empty."""
+        idx = self.sequence.indices(length + 1)
         t = self._tables
-        if t is None or len(t.idx) < length or t.sequence is not self.sequence:
-            t = self._tables = _SequenceTables(self, max(length, 2 * len(t.idx) if t else 16))
+        if t is None or t.idx is not idx:
+            t = self._tables = _SequenceTables(self, idx)
         return t
 
     def member(self, x) -> bool:

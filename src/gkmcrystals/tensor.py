@@ -19,7 +19,7 @@ the result is the crystal zero:
 
 ``TensorCrystal`` stores n-ary products flat and evaluates an element
 b1 ⊗ ... ⊗ bn as the left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn,
-with the same ``bracket_*`` functions that ``verify_associativity``
+with the same ``bracket_stats`` fold that ``verify_associativity``
 applies to both bracketings of a triple.  So the rule above has one
 implementation, and the change of bracketing is an executable fact
 rather than an assumption.
@@ -27,7 +27,6 @@ rather than an assumption.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -117,11 +116,19 @@ class TensorCrystal(Crystal):
         return bracket_phi(self.datum, i, self._tree(b))
 
     def f(self, i, b):
-        parts = bracket_leaves(bracket_lower(self.datum, i, self._tree(b)))
-        return None if parts is None else TensorElement(parts)
+        return self._flat(bracket_lower(self.datum, i, self._tree(b)))
 
     def e(self, i, b):
-        parts = bracket_leaves(bracket_raise(self.datum, i, self._tree(b)))
+        return self._flat(bracket_raise(self.datum, i, self._tree(b)))
+
+    def stats(self, b):
+        """One evaluation of b's tree gives all its statistics."""
+        wt, eps, phi, e, f = bracket_stats(self.datum, self._tree(b))
+        return wt, eps, phi, tuple(map(self._flat, e)), tuple(map(self._flat, f))
+
+    @staticmethod
+    def _flat(tree):
+        parts = bracket_leaves(tree)
         return None if parts is None else TensorElement(parts)
 
 
@@ -131,47 +138,50 @@ def bracket_wt(tree):
     return bracket_wt(tree.left) + bracket_wt(tree.right)
 
 
-def bracket_eps(datum, i, tree):
+def bracket_stats(datum, tree):
+    """(wt, eps, phi, e targets, f targets) of a tree, the last four
+    indexed by i, targets as trees or None.  A leaf is read through its
+    crystal's five operators; a pair applies the rule above once per
+    index to its children's statistics."""
     if isinstance(tree, BracketLeaf):
-        return tree.crystal.eps(i, tree.elt)
-    return max(
-        bracket_eps(datum, i, tree.left),
-        bracket_eps(datum, i, tree.right) - datum.pairing(i, bracket_wt(tree.left)),
-    )
+        wt, eps, phi, e, f = Crystal.stats(tree.crystal, tree.elt)
+        leaf = lambda b: None if b is None else BracketLeaf(tree.crystal, b)
+        return wt, eps, phi, tuple(map(leaf, e)), tuple(map(leaf, f))
+    lwt, leps, lphi, lup, ldown = bracket_stats(datum, tree.left)
+    rwt, reps, rphi, rup, rdown = bracket_stats(datum, tree.right)
+    eps, phi, e, f = [], [], [], []
+    for i in datum.indices():
+        eps.append(max(leps[i], reps[i] - datum.pairing(i, lwt)))
+        phi.append(max(lphi[i] + datum.pairing(i, rwt), rphi[i]))
+        side = raising_side(datum.is_real(i), datum.a(i, i), lphi[i], reps[i])
+        e.append(_replaced(tree, side, lup[i], rup[i]))
+        f.append(_replaced(tree, lowering_side(lphi[i], reps[i]), ldown[i], rdown[i]))
+    return lwt + rwt, tuple(eps), tuple(phi), tuple(e), tuple(f)
+
+
+def _replaced(pair, side, left, right):
+    """``pair`` with the picked child replaced by its target, or None."""
+    if side == LEFT and left is not None:
+        return BracketPair(left, pair.right)
+    if side == RIGHT and right is not None:
+        return BracketPair(pair.left, right)
+    return None
+
+
+def bracket_eps(datum, i, tree):
+    return bracket_stats(datum, tree)[1][i]
 
 
 def bracket_phi(datum, i, tree):
-    if isinstance(tree, BracketLeaf):
-        return tree.crystal.phi(i, tree.elt)
-    return max(
-        bracket_phi(datum, i, tree.left) + datum.pairing(i, bracket_wt(tree.right)),
-        bracket_phi(datum, i, tree.right),
-    )
-
-
-def bracket_lower(datum, i, tree):
-    return _bracket_act(datum, i, tree, "f", lowering_side)
+    return bracket_stats(datum, tree)[2][i]
 
 
 def bracket_raise(datum, i, tree):
-    return _bracket_act(datum, i, tree, "e", partial(raising_side, datum.is_real(i), datum.a(i, i)))
+    return bracket_stats(datum, tree)[3][i]
 
 
-def _bracket_act(datum, i, tree, op, side):
-    """Act with the leaf operator ``op`` ("f" or "e") on the factor that
-    ``side`` picks from phi_i(left) and eps_i(right) at each level; a zero
-    there, or ZERO (the raising dead band), gives the crystal zero."""
-    if isinstance(tree, BracketLeaf):
-        r = getattr(tree.crystal, op)(i, tree.elt)
-        return None if r is None else BracketLeaf(tree.crystal, r)
-    picked = side(bracket_phi(datum, i, tree.left), bracket_eps(datum, i, tree.right))
-    if picked == LEFT:
-        sub = _bracket_act(datum, i, tree.left, op, side)
-        return None if sub is None else BracketPair(sub, tree.right)
-    if picked == RIGHT:
-        sub = _bracket_act(datum, i, tree.right, op, side)
-        return None if sub is None else BracketPair(tree.left, sub)
-    return None
+def bracket_lower(datum, i, tree):
+    return bracket_stats(datum, tree)[4][i]
 
 
 def bracket_leaves(tree):
@@ -202,25 +212,24 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     datum = g1.datum
     if g2.datum != datum or g3.datum != datum:
         raise ValueError("graphs must share one datum")
-    # every comparison made per triple, in report order: (index, law, evaluator)
-    laws = [(None, "assoc_wt", lambda d, k, t: bracket_wt(t))] + [
-        (i, law, evaluate)
-        for i in datum.indices()
-        for law, evaluate in (
-            ("assoc_eps", bracket_eps),
-            ("assoc_phi", bracket_phi),
-            ("assoc_f", lambda d, k, t: bracket_leaves(bracket_lower(d, k, t))),
-            ("assoc_e", lambda d, k, t: bracket_leaves(bracket_raise(d, k, t))),
-        )
-    ]
+    laws = ("assoc_eps", "assoc_phi", "assoc_f", "assoc_e")
     rep = CheckReport()
     leaves = [[BracketLeaf(g.crystal, b) for b in g.elements()] for g in (g1, g2, g3)]
     for leaf1, leaf2, leaf3 in product(*leaves):
         lhs = BracketPair(BracketPair(leaf1, leaf2), leaf3)
-        rhs = reassociate(lhs)
-        rep.checked += len(laws)
-        for i, law, evaluate in laws:
-            lv, rv = evaluate(datum, i, lhs), evaluate(datum, i, rhs)
-            if lv != rv:
-                rep.add((leaf1.elt, leaf2.elt, leaf3.elt), i, law, lv, rv)
+        (lwt, *lcols), (rwt, *rcols) = (_comparable(datum, t) for t in (lhs, reassociate(lhs)))
+        triple = (leaf1.elt, leaf2.elt, leaf3.elt)
+        rep.checked += 1 + len(laws) * datum.size
+        if lwt != rwt:
+            rep.add(triple, None, "assoc_wt", lwt, rwt)
+        for i in datum.indices():
+            for law, lv, rv in zip(laws, lcols, rcols):
+                if lv[i] != rv[i]:
+                    rep.add(triple, i, law, lv[i], rv[i])
     return rep
+
+
+def _comparable(datum, tree):
+    """wt, eps, phi, f, e of a tree, targets flattened across bracketings."""
+    wt, eps, phi, e, f = bracket_stats(datum, tree)
+    return wt, eps, phi, [bracket_leaves(t) for t in f], [bracket_leaves(t) for t in e]

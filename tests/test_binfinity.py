@@ -238,3 +238,11 @@ class TestTensorDecompositionEmbedding:
         lam = md.fundamental(0)
         result = G.tensor_decomposition_embedding(md, seq, lam, lam, 2)
         assert result.report.ok, result.report.lines()
+
+    def test_non_dominant_factor_rejected(self, d1):
+        # lam + mu = (2, 0) is dominant, but B(lam) needs lam = (2, -1) dominant
+        seq = G.cyclic_sequence(d1)
+        with pytest.raises(ValueError, match="not dominant"):
+            G.tensor_decomposition_embedding(
+                d1, seq, d1.weight(lam=[2, -1]), d1.weight(lam=[0, 1]), 3
+            )

@@ -136,7 +136,6 @@ class TestDatum:
     def test_real_imaginary_split(self, d1, toy_monster):
         assert d1.is_real(0)
         assert not d1.is_real(1)
-        assert d1.real_indices == (0,)
         assert d1.imaginary_indices == (1,)
         md = toy_monster.datum
         assert md.is_real(0)

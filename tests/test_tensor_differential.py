@@ -1,8 +1,9 @@
 """TensorCrystal, which evaluates a product as the left-nested bracket
 tree of its factors, against the flat signature-rule recursion it
-replaces: wt, eps, phi, e and f on every node and index of the B(lambda)
-carriers, the crystal-embedding and tensor-decomposition targets, and
-random products of small crystals."""
+replaces: wt, eps, phi, e and f, one by one and as one ``stats`` tuple,
+on every node and index of the B(lambda) carriers, the
+crystal-embedding and tensor-decomposition targets, and random products
+of small crystals."""
 
 import random
 
@@ -61,6 +62,13 @@ def disagreements(graph):
             for op in ("eps", "phi", "e", "f"):
                 if getattr(crystal, op)(i, b) != getattr(ref, op)(crystal, i, b):
                     bad.append((op, i, b))
+        indices = crystal.datum.indices()
+        expected = (ref.wt(crystal, b),) + tuple(
+            tuple(getattr(ref, op)(crystal, i, b) for i in indices)
+            for op in ("eps", "phi", "e", "f")
+        )
+        if crystal.stats(b) != expected:
+            bad.append(("stats", b))
     return bad
 
 
