@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import index as _as_int
+from functools import cached_property
+from operator import index as _as_int, mul
 
 
 class NegInfinity:
@@ -296,14 +297,17 @@ class BorcherdsCartanDatum:
         return Weight.zero(self.size)
 
     def fundamental(self, i: int) -> Weight:
-        lam = [0] * self.size
-        lam[i] = 1
-        return Weight(tuple(lam), (0,) * self.size)
+        return self._basis[0][i]
 
     def alpha(self, i: int) -> Weight:
-        rt = [0] * self.size
-        rt[i] = 1
-        return Weight((0,) * self.size, tuple(rt))
+        return self._basis[1][i]
+
+    @cached_property
+    def _basis(self) -> tuple:
+        """(the Lambda_i, the alpha_i), one shared Weight per index."""
+        zero = (0,) * self.size
+        units = [tuple(int(j == i) for j in self.indices()) for i in self.indices()]
+        return tuple(Weight(u, zero) for u in units), tuple(Weight(zero, u) for u in units)
 
     def weight(self, lam=None, rt=None) -> Weight:
         lam = tuple(lam) if lam is not None else (0,) * self.size
@@ -314,8 +318,7 @@ class BorcherdsCartanDatum:
 
     def pairing(self, i: int, w: Weight) -> int:
         """<h_i, w> for w = sum lam_j Lambda_j + sum rt_j alpha_j."""
-        row = self.cartan[i]
-        return w.lam[i] + sum(row[j] * w.rt[j] for j in range(self.size) if w.rt[j])
+        return w.lam[i] + sum(map(mul, self.cartan[i], w.rt))
 
     def is_dominant(self, w: Weight) -> bool:
         return all(self.pairing(i, w) >= 0 for i in self.indices())

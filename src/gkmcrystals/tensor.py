@@ -19,10 +19,10 @@ the result is the crystal zero:
 
 ``TensorCrystal`` stores n-ary products flat and evaluates an element
 b1 ⊗ ... ⊗ bn as the left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn,
-with the same ``bracket_stats`` fold that ``verify_associativity``
-applies to both bracketings of a triple.  So the rule above has one
-implementation, and the change of bracketing is an executable fact
-rather than an assumption.
+folded by ``bracket_stats`` through ``_pair_stats``, the same pair
+step that ``verify_associativity`` applies to both bracketings of a
+triple.  So the rule above has one implementation, and the change of
+bracketing is an executable fact rather than an assumption.
 """
 
 from __future__ import annotations
@@ -141,21 +141,26 @@ def bracket_wt(tree):
 def bracket_stats(datum, tree):
     """(wt, eps, phi, e targets, f targets) of a tree, the last four
     indexed by i, targets as trees or None.  A leaf is read through its
-    crystal's five operators; a pair applies the rule above once per
-    index to its children's statistics."""
+    crystal's five operators; a pair is folded by ``_pair_stats``."""
     if isinstance(tree, BracketLeaf):
         wt, eps, phi, e, f = Crystal.stats(tree.crystal, tree.elt)
         leaf = lambda b: None if b is None else BracketLeaf(tree.crystal, b)
         return wt, eps, phi, tuple(map(leaf, e)), tuple(map(leaf, f))
-    lwt, leps, lphi, lup, ldown = bracket_stats(datum, tree.left)
-    rwt, reps, rphi, rup, rdown = bracket_stats(datum, tree.right)
+    return _pair_stats(datum, tree, bracket_stats(datum, tree.left), bracket_stats(datum, tree.right))
+
+
+def _pair_stats(datum, pair, left_stats, right_stats):
+    """The statistics of ``pair`` from its children's: the rule above,
+    applied once per index.  This is the only code that applies it."""
+    lwt, leps, lphi, lup, ldown = left_stats
+    rwt, reps, rphi, rup, rdown = right_stats
     eps, phi, e, f = [], [], [], []
     for i in datum.indices():
         eps.append(max(leps[i], reps[i] - datum.pairing(i, lwt)))
         phi.append(max(lphi[i] + datum.pairing(i, rwt), rphi[i]))
         side = raising_side(datum.is_real(i), datum.a(i, i), lphi[i], reps[i])
-        e.append(_replaced(tree, side, lup[i], rup[i]))
-        f.append(_replaced(tree, lowering_side(lphi[i], reps[i]), ldown[i], rdown[i]))
+        e.append(_replaced(pair, side, lup[i], rup[i]))
+        f.append(_replaced(pair, lowering_side(lphi[i], reps[i]), ldown[i], rdown[i]))
     return lwt + rwt, tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
@@ -205,6 +210,9 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     For every element triple and every index, the weights, statistics
     and both operator actions must agree after flattening.  Exact
     equality; any mismatch is reported with the offending triple.
+
+    Each element is read once and each inner pair (b1 ⊗ b2), (b2 ⊗ b3)
+    is folded once per call; a triple folds only its two roots.
     """
     for g in (g1, g2, g3):
         if g.crystal is None:
@@ -214,11 +222,18 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
         raise ValueError("graphs must share one datum")
     laws = ("assoc_eps", "assoc_phi", "assoc_f", "assoc_e")
     rep = CheckReport()
-    leaves = [[BracketLeaf(g.crystal, b) for b in g.elements()] for g in (g1, g2, g3)]
-    for leaf1, leaf2, leaf3 in product(*leaves):
-        lhs = BracketPair(BracketPair(leaf1, leaf2), leaf3)
-        (lwt, *lcols), (rwt, *rcols) = (_comparable(datum, t) for t in (lhs, reassociate(lhs)))
-        triple = (leaf1.elt, leaf2.elt, leaf3.elt)
+    rows = []
+    for g in (g1, g2, g3):
+        leaves = [BracketLeaf(g.crystal, b) for b in g.elements()]
+        rows.append([(leaf, bracket_stats(datum, leaf)) for leaf in leaves])
+    s1, s2, s3 = rows
+    s12 = [[_pair(datum, x, y) for y in s2] for x in s1]
+    s23 = [[_pair(datum, y, z) for z in s3] for y in s2]
+    for j, k, l in product(range(len(s1)), range(len(s2)), range(len(s3))):
+        lhs = _pair(datum, s12[j][k], s3[l])
+        rhs = _pair(datum, s1[j], s23[k][l])
+        (lwt, *lcols), (rwt, *rcols) = (_comparable(stats) for _, stats in (lhs, rhs))
+        triple = (s1[j][0].elt, s2[k][0].elt, s3[l][0].elt)
         rep.checked += 1 + len(laws) * datum.size
         if lwt != rwt:
             rep.add(triple, None, "assoc_wt", lwt, rwt)
@@ -229,7 +244,14 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     return rep
 
 
-def _comparable(datum, tree):
-    """wt, eps, phi, f, e of a tree, targets flattened across bracketings."""
-    wt, eps, phi, e, f = bracket_stats(datum, tree)
+def _pair(datum, left, right):
+    """(left ⊗ right, its statistics) from two (tree, statistics) pairs."""
+    pair = BracketPair(left[0], right[0])
+    return pair, _pair_stats(datum, pair, left[1], right[1])
+
+
+def _comparable(stats):
+    """wt, eps, phi, f, e of a tree's statistics, targets flattened
+    across bracketings."""
+    wt, eps, phi, e, f = stats
     return wt, eps, phi, [bracket_leaves(t) for t in f], [bracket_leaves(t) for t in e]

@@ -6,10 +6,27 @@ factor is peeled off and compared with the product of the others.  It
 is kept, unchanged in substance, as the path the bracket evaluation is
 diffed against (``test_tensor_differential.py``); nothing in the
 library calls it.
+
+``verify_associativity`` is the associativity check as it was before
+it read each element and each inner pair once per call: every triple
+builds both bracketings afresh and folds them from their leaves.
 """
 
+from itertools import product
+
 from gkmcrystals import TensorElement
-from gkmcrystals.tensor import LEFT, ZERO, lowering_side, raising_side
+from gkmcrystals.checks import CheckReport
+from gkmcrystals.tensor import (
+    LEFT,
+    ZERO,
+    BracketLeaf,
+    BracketPair,
+    bracket_leaves,
+    bracket_stats,
+    lowering_side,
+    raising_side,
+    reassociate,
+)
 
 
 def _pairs(crystal, b: TensorElement):
@@ -93,3 +110,33 @@ def _raise(datum, i, pairs):
         return None if parts is None else parts + [elt]
     r = crystal.e(i, elt)
     return None if r is None else [p[1] for p in left] + [r]
+
+
+def verify_associativity(g1, g2, g3) -> CheckReport:
+    for g in (g1, g2, g3):
+        if g.crystal is None:
+            raise ValueError("associativity check needs graphs that carry their crystal")
+    datum = g1.datum
+    if g2.datum != datum or g3.datum != datum:
+        raise ValueError("graphs must share one datum")
+    laws = ("assoc_eps", "assoc_phi", "assoc_f", "assoc_e")
+    rep = CheckReport()
+    leaves = [[BracketLeaf(g.crystal, b) for b in g.elements()] for g in (g1, g2, g3)]
+    for leaf1, leaf2, leaf3 in product(*leaves):
+        lhs = BracketPair(BracketPair(leaf1, leaf2), leaf3)
+        (lwt, *lcols), (rwt, *rcols) = (_comparable(datum, t) for t in (lhs, reassociate(lhs)))
+        triple = (leaf1.elt, leaf2.elt, leaf3.elt)
+        rep.checked += 1 + len(laws) * datum.size
+        if lwt != rwt:
+            rep.add(triple, None, "assoc_wt", lwt, rwt)
+        for i in datum.indices():
+            for law, lv, rv in zip(laws, lcols, rcols):
+                if lv[i] != rv[i]:
+                    rep.add(triple, i, law, lv[i], rv[i])
+    return rep
+
+
+def _comparable(datum, tree):
+    """wt, eps, phi, f, e of a tree, targets flattened across bracketings."""
+    wt, eps, phi, e, f = bracket_stats(datum, tree)
+    return wt, eps, phi, [bracket_leaves(t) for t in f], [bracket_leaves(t) for t in e]

@@ -208,7 +208,7 @@ class TestAssociativity:
         g2 = self.graph_of(d1, 1, 3)
         report = G.verify_associativity(g1, g2, g1)
         assert report.ok, report.lines()
-        assert report.checked > 0
+        assert report.checked == len(g1) * len(g2) * len(g1) * (1 + 4 * d1.size)
 
     def test_triples_with_shifts(self, d1):
         shift = G.ShiftCrystal(d1, d1.weight(lam=[1, 0]))

@@ -3,17 +3,21 @@ tree of its factors, against the flat signature-rule recursion it
 replaces: wt, eps, phi, e and f, one by one and as one ``stats`` tuple,
 on every node and index of the B(lambda) carriers, the
 crystal-embedding and tensor-decomposition targets, and random products
-of small crystals."""
+of small crystals.  Also ``verify_associativity``, which reads each
+element and inner pair once per call, against the per-triple check it
+replaces: full reports on random factor triples and on a planted
+fault."""
 
 import random
 
 import pytest
 
 import gkmcrystals as G
-from gkmcrystals.fuzzing import random_universe_graph
+from gkmcrystals.fuzzing import random_factor_graph, random_universe_graph
+from gkmcrystals.graph import graph_from_universe
 
 import tensor_reference as ref
-from conftest import make_d1, make_toy_monster
+from conftest import make_d1, make_d2, make_toy_monster
 
 
 def hw_graph(datum, seq, lam, depth):
@@ -107,3 +111,52 @@ def test_foreign_elements_rejected(d1):
         product.wt(b)
     with pytest.raises(ValueError):
         ref.wt(product, b)
+
+
+def report_rows(report):
+    rows = [(v.node, v.index, v.law, v.expected, v.found) for v in report.violations]
+    return rows, report.checked, report.skipped, report.coverage_errors
+
+
+def assert_same_report(g1, g2, g3):
+    new = report_rows(G.verify_associativity(g1, g2, g3))
+    assert new == report_rows(ref.verify_associativity(g1, g2, g3))
+    return new
+
+
+# which of three drawn graphs fill the slots of a triple; the last
+# three reuse a graph, so one graph feeds both inner-pair tables
+TRIPLE_SHAPES = ((0, 1, 2), (0, 1, 0), (0, 0, 1), (1, 0, 0))
+
+
+@pytest.mark.parametrize("make_datum", [make_d1, lambda: make_toy_monster().datum],
+                         ids=["rank2", "monster"])
+def test_associativity_random_factor_triples(make_datum):
+    datum = make_datum()
+    for seed in range(32):
+        rng = random.Random(seed)
+        graphs = [random_factor_graph(rng, datum) for _ in range(3)]
+        shape = TRIPLE_SHAPES[seed % len(TRIPLE_SHAPES)]
+        rows, *_ = assert_same_report(*(graphs[n] for n in shape))
+        assert rows == []
+
+
+class WrongPhi(G.ElementaryCrystal):
+    """phi of b(-1) is 3 too large, as in the associativity fault test."""
+
+    def phi(self, i, b):
+        return super().phi(i, b) + (3 if b.steps == 1 else 0)
+
+
+# F is the faulty crystal, H a healthy one; the fault is only seen when
+# both factors of the left inner pair carry it
+@pytest.mark.parametrize("slots", ["FFF", "FFH", "FHH", "HFH", "HHF"])
+def test_associativity_fault_placements(slots):
+    d = make_d2()
+    faulty, healthy = WrongPhi(d, 0), G.ElementaryCrystal(d, 0)
+    graphs = {
+        "F": graph_from_universe(faulty, [faulty.element(n) for n in range(2)]),
+        "H": graph_from_universe(healthy, [healthy.element(n) for n in range(3)]),
+    }
+    rows, *_ = assert_same_report(*(graphs[c] for c in slots))
+    assert bool(rows) == slots.startswith("FF")
