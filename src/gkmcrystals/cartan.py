@@ -10,9 +10,13 @@ Weights live in the Z-span of the fundamental weights and the simple
 roots and are kept as a formal coordinate pair; the datum evaluates
 coroot pairings via <h_i, Lambda_j> = delta_ij and <h_i, alpha_j> = a_ij.
 
-Crystal statistics eps_i, phi_i take values in Z ∪ {-inf}; NEG_INF is
-the shared bottom element with saturating arithmetic.  All integer
-arithmetic is exact (Python bignums), so overflow cannot occur.
+Crystal statistics eps_i, phi_i take values in Z ∪ {-inf}.  The bottom
+element NEG_INF is a float subclass fixed at -inf: float supplies its
+order (exact against ints of any size), equality, hash and repr, and
+its own + and - absorb ints unconverted.  A plain float("-inf") would
+not do: n + float("-inf") converts n to a float and raises OverflowError
+once |n| passes about 1.8e308, and a datum may hold larger entries.  All
+integer arithmetic is exact (Python bignums), so overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -23,51 +27,15 @@ from functools import cached_property
 from operator import index as _as_int, mul
 
 
-class NegInfinity:
-    """The bottom element adjoined to Z, printed as -inf.
-
-    Absorbing under addition and minimal under every comparison, which
-    is exactly what the crystal statistics need:
-
-        NEG_INF + n == NEG_INF        max(NEG_INF, n) == n
-
-    Only the shared ``NEG_INF`` instance should be used.
-    """
+class NegInfinity(float):
+    """The bottom element adjoined to Z: a float fixed at -inf whose + and
+    - absorb ints unconverted, so NEG_INF + n is NEG_INF and
+    max(NEG_INF, n) is n.  Use the shared ``NEG_INF`` instance."""
 
     __slots__ = ()
 
-    def __repr__(self):
-        return "-inf"
-
-    def __eq__(self, other):
-        return isinstance(other, NegInfinity)
-
-    def __hash__(self):
-        return hash("gkmcrystals.NEG_INF")
-
-    def __lt__(self, other):
-        if isinstance(other, NegInfinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (NegInfinity, int)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (NegInfinity, int)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, NegInfinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
+    def __new__(cls, *_):  # copy and pickle pass float's value back in
+        return super().__new__(cls, "-inf")
 
     def __add__(self, other):
         if isinstance(other, (NegInfinity, int)):
@@ -79,6 +47,9 @@ class NegInfinity:
     def __sub__(self, other):
         if isinstance(other, int):
             return self
+        return NotImplemented
+
+    def __rsub__(self, other):  # float's would give n - (-inf) = +inf
         return NotImplemented
 
     def __neg__(self):

@@ -154,7 +154,7 @@ def check_category_profile(graph) -> CheckReport:
             wt_i = datum.pairing(i, node.wt)
             if wt_i < 0:
                 rep.add(u, i, "imaginary_wt_nonneg", ">=0", wt_i)
-            if not (is_neg_inf(node.eps[i]) or node.eps[i] <= 0):
+            if node.eps[i] > 0:
                 rep.add(u, i, "imaginary_eps_nonpositive", "<=0 or -inf", node.eps[i])
             if not (is_neg_inf(node.phi[i]) or node.phi[i] >= 0):
                 rep.add(u, i, "imaginary_phi_nonnegative", ">=0 or -inf", node.phi[i])

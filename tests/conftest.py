@@ -18,6 +18,12 @@ def make_imaginary_only():
     return G.make_datum(("1",), ((0,),))
 
 
+def make_huge():
+    """Rank-2 datum [[2,-1],[-1,-10**400]]: an imaginary diagonal entry far
+    past the float range, so any int-to-float conversion overflows."""
+    return G.make_datum(("1", "2"), ((2, -1), (-1, -(10**400))), (1, 1))
+
+
 def make_toy_monster():
     return G.MonsterModel(G.MonsterParams(2, (2, 1)))
 

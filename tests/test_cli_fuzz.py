@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gkmcrystals as G
 from gkmcrystals.cli import main
 
-from conftest import make_d1, make_toy_monster
+from conftest import make_d1, make_huge, make_toy_monster
 
 GENERATION = ["--mode", "--lambda", "--seq"]
 
@@ -43,7 +43,7 @@ BAD_NUMBERS = ["-1", "x", "", "1.5", "0x1", "1e2", " "]
 # flag -> (values that parse, values that do not); "{...}" names a file
 # of the fixture below
 VALUES = {
-    "--datum": (["{d1}", "{monster}", "{real}"],
+    "--datum": (["{d1}", "{monster}", "{real}", "{huge}"],
                 ["{broken}", "{no-level}", "{missing}", "{dir}", "{empty}", "{bad-explicit}",
                  "{wrong-monster}", "{binary}", "{violation}"]),
     "--depth": (["0", "1", "2"], BAD_NUMBERS),
@@ -103,6 +103,7 @@ def files(tmp_path_factory):
         ("{monster}", make_toy_monster().datum,
          {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),
         ("{real}", G.make_datum(["a", "b"], [[2, -1], [-1, 2]]), None),
+        ("{huge}", make_huge(), None),
         ("{no-level}", make_toy_monster().datum, {"kind": "monster", "multiplicities": [2, 1]}),
         ("{bad-explicit}", make_d1(), {"kind": "explicit", "prefix": 5, "cycle": ["1", "2"]}),
         ("{wrong-monster}", make_d1(), {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),

@@ -3,8 +3,9 @@
 ``cli_golden.json`` holds the expected output of every case below: the
 ``gen`` exports (JSON and DOT), ``char``, ``validate`` and every
 ``check`` bundle, including failing and rejected runs.  Argument tokens
-``{d1}``, ``{d2}``, ``{monster}`` and ``{real}`` name datum files written
-by ``write_datum_files``, and ``{broken}``, ``{extra}``, ``{shape}`` and
+``{d1}``, ``{d2}``, ``{monster}``, ``{real}`` and ``{huge}`` (an entry of
+-10**400, beyond the float range) name datum files written by
+``write_datum_files``, and ``{broken}``, ``{extra}``, ``{shape}`` and
 ``{violation}`` files it writes that ``validate`` rejects; ``{out}`` names an output file in the same
 directory.  A change to argument handling or dispatch that moves one
 byte of output fails here.  For an intended change of output, rewrite
@@ -22,7 +23,7 @@ import pytest
 import gkmcrystals as G
 from gkmcrystals.cli import main
 
-from conftest import make_d1, make_d2, make_toy_monster
+from conftest import make_d1, make_d2, make_huge, make_toy_monster
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -82,12 +83,19 @@ CASES = {
         "check", "profile", "--datum", "{d1}", "--mode", "hw", "--lambda", "1,0", "--depth", "3",
     ],
     "check-profile-vacuous": ["check", "profile", "--datum", "{real}", "--depth", "2"],
+    "huge-check-axioms": ["check", "axioms", "--datum", "{huge}", "--trials", "20", "--seed", "1"],
+    "huge-check-assoc": ["check", "assoc", "--datum", "{huge}", "--trials", "3", "--seed", "1"],
+    "huge-check-embedding": ["check", "embedding", "--datum", "{huge}", "--depth", "3"],
+    "huge-check-projection": [
+        "check", "projection", "--datum", "{huge}", "--lambda", "1,0", "--depth", "3",
+    ],
 }
 
 
 def write_datum_files(directory) -> dict:
     files = {
-        name: os.path.join(directory, f"{name}.json") for name in ("d1", "d2", "monster", "real")
+        name: os.path.join(directory, f"{name}.json")
+        for name in ("d1", "d2", "monster", "real", "huge")
     }
     G.save_datum_file(files["d1"], make_d1())
     G.save_datum_file(files["d2"], make_d2())
@@ -96,6 +104,7 @@ def write_datum_files(directory) -> dict:
         sequence_spec={"kind": "monster", "level": 2, "multiplicities": [2, 1]},
     )
     G.save_datum_file(files["real"], G.make_datum(["a", "b"], [[2, -1], [-1, 2]]))
+    G.save_datum_file(files["huge"], make_huge())
     bad = {
         "broken": '{"indices": ["1"], "cartan": [[2]]',
         "extra": {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "foo": 0},
