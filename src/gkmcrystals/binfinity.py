@@ -34,6 +34,10 @@ those scans once per index for all of a node's statistics; phi_i keeps
 its own forward scan, so the identity phi_i = eps_i + <h_i, wt> that
 ``check_axioms`` verifies stays a check.
 
+Elements carry their sequence's ``seq_id``, derived from its (prefix,
+cycle): two spellings of one (prefix, cycle) give equal elements, and
+strings over different (prefix, cycle) pairs are never equal.
+
 The connected component of the zero string realizes B(infinity); the
 component of (zero string) ⊗ t_lambda ⊗ c realizes the highest-weight
 crystal B(lambda).  Both realizations are audited at generation time,
@@ -73,7 +77,7 @@ class IndexSequence:
     the constructors guarantee "every index appears infinitely often".
     """
 
-    def __init__(self, datum: BorcherdsCartanDatum, prefix, cycle, seq_id: str):
+    def __init__(self, datum: BorcherdsCartanDatum, prefix, cycle):
         prefix = tuple(int(i) for i in prefix)
         cycle = tuple(int(i) for i in cycle)
         if not cycle:
@@ -88,7 +92,7 @@ class IndexSequence:
         self.datum = datum
         self.prefix = prefix
         self.cycle = cycle
-        self.seq_id = seq_id
+        self.seq_id = str((prefix, cycle))  # a str, so element hashes stay cached
         self._indices = []
 
     def at(self, k: int) -> int:
@@ -115,19 +119,15 @@ class IndexSequence:
         return max(support_len, len(self.prefix)) + len(self.cycle)
 
     def __repr__(self):
-        return f"IndexSequence({self.seq_id})"
+        return f"IndexSequence{self.seq_id}"
 
 
 def cyclic_sequence(datum) -> IndexSequence:
-    return IndexSequence(datum, (), tuple(datum.indices()), f"cyclic:{datum.size}")
+    return IndexSequence(datum, (), datum.indices())
 
 
 def explicit_sequence(datum, prefix, cycle) -> IndexSequence:
-    seq_id = "explicit:%s:%s" % (
-        ",".join(map(str, prefix)),
-        ",".join(map(str, cycle)),
-    )
-    return IndexSequence(datum, prefix, cycle, seq_id)
+    return IndexSequence(datum, prefix, cycle)
 
 
 def monster_real_position(n: int, multiplicities) -> int:
@@ -170,9 +170,7 @@ def monster_block_sequence(datum, level: int, multiplicities) -> IndexSequence:
         return out
 
     prefix = [i for n in range(1, level) for i in block(n)]
-    cycle = block(level)
-    seq_id = "monster:%d:%s" % (level, ",".join(map(str, m)))
-    return IndexSequence(datum, prefix, cycle, seq_id)
+    return IndexSequence(datum, prefix, block(level))
 
 
 def _spec_int(value) -> bool:

@@ -28,7 +28,6 @@ from .closed_form import (
     MonsterParams,
     Rank2Params,
     compare_predicate_with_bfs,
-    monster_real_position,
     rank2_datum,
     rank2_highest_weight_member,
     rank2_member,
@@ -250,8 +249,7 @@ def cmd_oracle_monster(args) -> int:
         raise UsageError(f"bad monster parameters: {exc}") from exc
     model = MonsterModel(params)
     for n in range(args.level + 1):
-        position = monster_real_position(n, mults)
-        if model.sequence.at(position) != 0:
+        if model.sequence.at(model.real_position(n)) != 0:
             print(f"real-slot check failed at n={n}")
             return FAIL
     lam = None

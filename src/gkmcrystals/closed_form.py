@@ -21,7 +21,8 @@ generated component -- the two computations share no code path.
 
 The predicates are table-driven, so one test costs O(support): the
 rank-2 ones index the string directly, the Monster-type ones read
-per-model tables of the index array, the real slots b(n), the previous
+tables of the sequence's index array: the real slots (the positions of
+the real index, which the b(n) formula only checks), the previous
 occurrence of every position and the Cartan entries along the sequence.
 The position-by-position reference evaluation they replace is kept in
 the test suite (``tests/closed_form_reference.py``), and a differential
@@ -31,9 +32,8 @@ test diffs the two on every string of the oracle boxes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress
+from itertools import accumulate, combinations_with_replacement, compress
 from operator import mul
 
 from .cartan import BorcherdsCartanDatum, Weight, make_datum
@@ -144,7 +144,7 @@ def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
 
 
 class _SequenceTables:
-    """Per-position tables of a Monster-type model along the index array
+    """Per-position tables of a Monster-type datum along the index array
     ``idx`` of its sequence (position p holds x_{p+1}):
 
     * ``idx[p]``    the index i_{p+1};
@@ -152,23 +152,21 @@ class _SequenceTables:
       there is none;
     * ``pair[i][p]`` the Cartan entry a(i, i_{p+1}); ``pair[0]`` is row 0
       read along the sequence;
-    * ``real[n]``   the position b(n) - 1 of real slot n, for every n up
-      to the first slot at or beyond ``len(idx)``;
+    * ``real``      the real slots, the positions of index 0 in ``idx``,
+      then ``len(idx)`` standing in for every slot past the array;
     * ``slots[p]``  the number of real slots at positions <= p.
     """
 
-    def __init__(self, model, idx: list):
+    def __init__(self, datum, idx: list):
         self.idx = idx
-        self.pair = [[row[i] for i in idx] for row in model.datum.cartan]
+        self.pair = [[row[i] for i in idx] for row in datum.cartan]
         last = {}
         self.prev = prev = []
         for p, i in enumerate(idx):
             prev.append(last.get(i, -1))
             last[i] = p
-        self.real = real = [model.real_position(0) - 1]
-        while real[-1] < len(idx):
-            real.append(model.real_position(len(real)) - 1)
-        self.slots = [bisect_right(real, p) for p in range(len(idx))]
+        self.real = [p for p, i in enumerate(idx) if i == 0] + [len(idx)]
+        self.slots = list(accumulate(i == 0 for i in idx))
 
     def gate_slack(self, x, n: int) -> int:
         """Slack of the supporting inequality (ii) at real slot n:
@@ -201,12 +199,13 @@ class MonsterModel:
 
     def _tables_for(self, length: int) -> _SequenceTables:
         """Tables of the current sequence over at least ``length`` + 1
-        positions, so that ``real`` reaches past the support even for
-        the empty string, whose cache may still be empty."""
+        positions, so that ``real`` ends past the support even for the
+        empty string.  Real slots are read off the index array; the b(n)
+        formula of ``real_position`` only checks them."""
         idx = self.sequence.indices(length + 1)
         t = self._tables
         if t is None or t.idx is not idx:
-            t = self._tables = _SequenceTables(self, idx)
+            t = self._tables = _SequenceTables(self.datum, idx)
         return t
 
     def member(self, x) -> bool:
@@ -248,14 +247,15 @@ class MonsterModel:
         support = len(x)
         t = self._tables_for(support)
         real, row0 = t.real, t.pair[0]
-        if real[1] < support and x[real[1]] != 0:
-            return False
-        n = 1
-        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
-            lo, hi = real[n] + 1, real[n + 1]
-            if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
+        if real[1] < support:  # else (i) and (ii) read only zeros
+            if x[real[1]] != 0:
                 return False
-            n += 1
+            n = 1
+            while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
+                lo, hi = real[n] + 1, real[n + 1]
+                if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
+                    return False
+                n += 1
         idx, prev = t.idx, t.prev
         unpaid = []  # first occurrences that (iii) rejects unless lam pays
         for k in compress(range(support), x):

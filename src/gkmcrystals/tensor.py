@@ -107,7 +107,7 @@ class TensorCrystal(Crystal):
         return tree
 
     def wt(self, b):
-        return bracket_wt(self._tree(b))
+        return bracket_wt(self.datum, self._tree(b))
 
     def eps(self, i, b):
         return bracket_eps(self.datum, i, self._tree(b))
@@ -130,12 +130,6 @@ class TensorCrystal(Crystal):
     def _flat(tree):
         parts = bracket_leaves(tree)
         return None if parts is None else TensorElement(parts)
-
-
-def bracket_wt(tree):
-    if isinstance(tree, BracketLeaf):
-        return tree.crystal.wt(tree.elt)
-    return bracket_wt(tree.left) + bracket_wt(tree.right)
 
 
 def bracket_stats(datum, tree):
@@ -171,6 +165,10 @@ def _replaced(pair, side, left, right):
     if side == RIGHT and right is not None:
         return BracketPair(pair.left, right)
     return None
+
+
+def bracket_wt(datum, tree):
+    return bracket_stats(datum, tree)[0]
 
 
 def bracket_eps(datum, i, tree):

@@ -3,7 +3,8 @@
 These are the straightforward position-by-position evaluations that the
 table-driven predicates of ``gkmcrystals.closed_form`` replace: every
 entry is read through ``_entry``, every index through
-``IndexSequence.at`` and every real slot through the b(n) formula.  They
+``IndexSequence.at`` and every real slot through the b(n) formula,
+where the library reads real slots off the index array.  They
 are kept, unchanged in substance, as the path the fast predicates are
 diffed against (``test_closed_form_differential.py``); nothing in the
 library calls them.

@@ -17,16 +17,32 @@ from itertools import product
 from gkmcrystals import TensorElement
 from gkmcrystals.checks import CheckReport
 from gkmcrystals.tensor import (
-    LEFT,
-    ZERO,
     BracketLeaf,
     BracketPair,
     bracket_leaves,
     bracket_stats,
-    lowering_side,
-    raising_side,
     reassociate,
 )
+
+# The side rules, copied rather than imported, so that the flat
+# recursion does not share the rule it checks with the library.
+LEFT = "left"
+RIGHT = "right"
+ZERO = "zero"
+
+
+def lowering_side(phi_left, eps_right) -> str:
+    return LEFT if phi_left > eps_right else RIGHT
+
+
+def raising_side(is_real: bool, a_ii: int, phi_left, eps_right) -> str:
+    if is_real:
+        return LEFT if phi_left >= eps_right else RIGHT
+    if phi_left > eps_right - a_ii:
+        return LEFT
+    if phi_left <= eps_right:
+        return RIGHT
+    return ZERO
 
 
 def _pairs(crystal, b: TensorElement):

@@ -228,6 +228,14 @@ class TestCheck:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("level,mult", [("1", "15"), ("2", "15,1"), ("1", "40")])
+    def test_oracle_monster_second_slot_past_the_array(self, capsys, level, mult):
+        # b(1) - 1 = m(1) + 1 >= 16 lies at or past the end of the shortest
+        # cached index array; (1; 40) at depth 3 fails alike but runs over a minute
+        rc = main(["check", "oracle-monster", "--level", level, "--mult", mult, "--depth", "2"])
+        assert rc == 0
+        assert "predicate-only 0, generation-only 0" in capsys.readouterr().out
+
     def test_projection(self, d1_file, capsys):
         rc = main([
             "check", "projection", "--datum", d1_file, "--lambda", "1,1",

@@ -58,7 +58,7 @@ VALUES = {
     "--seed": (["1", "7"], ["x"]),
     "--abc": (["1,1,0", "1,2,2", "2,1,4"], ["1,1", "a,b,c", "0,0,0", "-1,1,0", "1,1,1"]),
     "--level": (["1", "2"], ["0", *BAD_NUMBERS]),
-    "--mult": (["1", "2", "2,1", "1,1"], ["0", "x", ""]),
+    "--mult": (["1", "2", "2,1", "1,1", "15", "15,1"], ["0", "x", ""]),
     "--lambda-real": (["0", "1"], ["-1", "x"]),
     "--index": (["1", "2", "a", "(-1,1)"], ["nope", ""]),
     "--help": ([None], []),

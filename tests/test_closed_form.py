@@ -139,6 +139,16 @@ class TestMonsterModel:
         assert toy_monster.member(tuple(x))
         assert not toy_monster.highest_weight_member(tuple(x), lam)
 
+    @pytest.mark.parametrize("level,mults", [(2, (2, 1)), (3, (1, 1, 1)), (2, (1, 1))])
+    def test_real_slots_read_off_the_sequence(self, level, mults):
+        model = G.MonsterModel(G.MonsterParams(level, mults))
+        for length in (0, 20, 100):
+            t = model._tables_for(length)
+            *slots, end = t.real
+            assert end == len(t.idx)
+            formula = [model.real_position(k) - 1 for k in range(len(t.idx))]
+            assert slots == [p for p in formula if p < len(t.idx)]
+
     def test_uniqueness_guard_does_not_fire_on_block_sequences(self, toy_monster):
         for x in iter_bounded_strings(14, 3):
             toy_monster.member(x)  # must never raise

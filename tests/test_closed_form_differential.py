@@ -70,6 +70,19 @@ def test_monster_member_matches_reference(level, mults):
     assert not bad, bad[:5]
 
 
+@pytest.mark.parametrize("level,mults", [(1, (15,)), (1, (20,)), (2, (15, 1))])
+def test_monster_member_matches_reference_past_the_array(level, mults):
+    # the second real slot b(1) - 1 = m(1) + 1 >= 16 lies at or past the
+    # end of the shortest cached index array
+    model = G.MonsterModel(G.MonsterParams(level, mults))
+    bad = disagreements(
+        model.member,
+        lambda x: ref.monster_member(model, x),
+        box(model.sequence, 2),
+    )
+    assert not bad, bad[:5]
+
+
 def monster_lambdas(datum):
     """0 and Lambda_real, plus weights with a nonzero imaginary budget:
     Lambda_(1,1) and Lambda_real + Lambda_(2,1)."""
@@ -97,16 +110,17 @@ def test_monster_highest_weight_member_matches_reference(level, mults):
 
 
 def test_malformed_sequence_raises(toy_monster):
-    x = (0, 0, 0, 0, 0, 1, 1)
+    x = (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1)
     assert not toy_monster.member(x)  # tables built for the block sequence
-    # positions 5 and 7 carry (2,1), position 6 the real index, but no
-    # real slot b(n) = 1, 4, 8, ... lies between 5 and 7
+    # the block sequence with the (2,1) at position 11 replaced by (1,1):
+    # positions 7 and 13 carry (2,1), and both the array and the formula
+    # put two real slots, b(2) = 8 and b(3) = 12, between them
     toy_monster.sequence = G.explicit_sequence(
-        toy_monster.datum, (0, 1, 2, 0, 3, 0, 3), (0, 1, 2, 3)
+        toy_monster.datum, (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 1, 0, 3), (0, 1, 2, 3)
     )
-    with pytest.raises(MonsterConditionError, match=r"\(5, 7\), found \[\]"):
+    with pytest.raises(MonsterConditionError, match=r"\(7, 13\), found \[2, 3\]"):
         ref.monster_member(toy_monster, x)
-    with pytest.raises(MonsterConditionError, match=r"\(5, 7\), found \[\]"):
+    with pytest.raises(MonsterConditionError, match=r"\(7, 13\), found \[2, 3\]"):
         toy_monster.member(x)
     lam = toy_monster.datum.fundamental(0)
     with pytest.raises(MonsterConditionError):

@@ -26,7 +26,23 @@ class TestIndexSequence:
         with pytest.raises(ValueError):
             G.explicit_sequence(d1, [1], [0])
         with pytest.raises(ValueError):
-            G.IndexSequence(d1, (), (), "empty")
+            G.IndexSequence(d1, (), ())
+
+    def test_identity_is_prefix_and_cycle(self, d1):
+        spellings = [G.cyclic_sequence(d1), G.explicit_sequence(d1, (), (0, 1))]
+        a, b = (G.StringCrystal(d1, seq) for seq in spellings)
+        assert a.element((1, 1)) == b.element((1, 1))
+        assert hash(a.element((1, 1))) == hash(b.element((1, 1)))
+
+    def test_different_sequences_share_no_element(self, d1):
+        crystals = [
+            G.StringCrystal(d1, G.explicit_sequence(d1, prefix, cycle))
+            for prefix, cycle in [((), (0, 1)), ((), (1, 0)), ((), (0, 1, 1)), ((1,), (0, 1))]
+        ]
+        for j, a in enumerate(crystals):
+            for b in crystals[j + 1:]:
+                for x in iter_bounded_strings(4, 2):
+                    assert a.element(x) != b.element(x), (a.seq, b.seq, x)
 
     def test_monster_blocks(self, toy_monster):
         seq = toy_monster.sequence
