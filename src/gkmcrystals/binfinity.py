@@ -34,9 +34,10 @@ those scans once per index for all of a node's statistics; phi_i keeps
 its own forward scan, so the identity phi_i = eps_i + <h_i, wt> that
 ``check_axioms`` verifies stays a check.
 
-Elements carry their sequence's ``seq_id``, derived from its (prefix,
-cycle): two spellings of one (prefix, cycle) give equal elements, and
-strings over different (prefix, cycle) pairs are never equal.
+Elements carry their sequence's ``seq_id``, derived from its reduced
+(prefix, cycle) -- the cycle cut to its primitive period and the
+prefix's tail rotated into it: every spelling of one sequence gives
+equal elements, and strings over different sequences are never equal.
 
 The connected component of the zero string realizes B(infinity); the
 component of (zero string) ⊗ t_lambda ⊗ c realizes the highest-weight
@@ -92,7 +93,7 @@ class IndexSequence:
         self.datum = datum
         self.prefix = prefix
         self.cycle = cycle
-        self.seq_id = str((prefix, cycle))  # a str, so element hashes stay cached
+        self.seq_id = str(_reduced(prefix, cycle))  # a str, so element hashes stay cached
         self._indices = []
 
     def at(self, k: int) -> int:
@@ -120,6 +121,17 @@ class IndexSequence:
 
     def __repr__(self):
         return f"IndexSequence{self.seq_id}"
+
+
+def _reduced(prefix: tuple, cycle: tuple) -> tuple:
+    """The shortest (prefix, cycle) spelling the same sequence: the cycle
+    cut to its primitive period, then the prefix's tail rotated into it."""
+    n = len(cycle)
+    period = next(p for p in range(1, n + 1) if n % p == 0 and cycle[:p] * (n // p) == cycle)
+    cycle = cycle[:period]
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix, cycle = prefix[:-1], cycle[-1:] + cycle[:-1]
+    return prefix, cycle
 
 
 def cyclic_sequence(datum) -> IndexSequence:

@@ -17,16 +17,19 @@ index has before its first occurrence -- and the highest-weight
 predicate is the base one with that budget read off lam, only where a
 condition needs it.  ``compare_predicate_with_bfs`` enumerates every
 bounded string passing a predicate and diffs the set against the
-generated component -- the two computations share no code path.
+generated component -- the two computations share no code path.  The
+box holds C(positions + depth, depth) strings, tabulated by halves so
+that each costs one tuple concatenation (``iter_bounded_strings``).
 
 The predicates are table-driven, so one test costs O(support): the
 rank-2 ones index the string directly, the Monster-type ones read
 tables of the sequence's index array: the real slots (the positions of
 the real index, which the b(n) formula only checks), the previous
 occurrence of every position and the Cartan entries along the sequence.
-The position-by-position reference evaluation they replace is kept in
-the test suite (``tests/closed_form_reference.py``), and a differential
-test diffs the two on every string of the oracle boxes.
+The position-by-position reference evaluation they replace, and the
+box built string by string from its multiset, are kept in the test
+suite (``tests/closed_form_reference.py``), and differential tests diff
+each against its replacement.
 """
 
 from __future__ import annotations
@@ -283,15 +286,31 @@ class MonsterModel:
 def iter_bounded_strings(positions: int, max_height: int):
     """Every string of height <= max_height supported on the first
     ``positions`` positions, once each and without trailing zeros, by
-    nondecreasing height: a string of height h is a multiset of h
-    positions."""
-    yield ()
+    nondecreasing height.
+
+    The positions split into a head of n1 = positions // 2 and a tail of
+    n2 = positions - n1.  One table holds, by exact height, the stripped
+    strings on n2 positions (a string of height h is a multiset of h
+    positions); the heads are its entries of length <= n1.  A string of
+    height h is a head of height h alone, or a head of height s < h
+    padded to n1 followed by a tail of height h - s, so each costs one
+    tuple concatenation."""
+    n1 = positions // 2
+    table = [[()]]
     for h in range(1, max_height + 1):
-        for c in combinations_with_replacement(range(positions), h):
+        row = []
+        for c in combinations_with_replacement(range(positions - n1), h):
             x = [0] * (c[-1] + 1)
             for p in c:
                 x[p] += 1
-            yield tuple(x)
+            row.append(tuple(x))
+        table.append(row)
+    for h in range(max_height + 1):
+        yield from (x for x in table[h] if len(x) <= n1)
+        for s in range(h):
+            for head in table[s]:
+                if len(head) <= n1:
+                    yield from map((head + (0,) * (n1 - len(head))).__add__, table[h - s])
 
 
 def default_position_bound(seq: IndexSequence, depth: int) -> int:

@@ -1,16 +1,34 @@
-"""Reference implementations of the closed-form membership predicates.
+"""Reference implementations of the closed-form membership predicates
+and of the oracle box.
 
-These are the straightforward position-by-position evaluations that the
-table-driven predicates of ``gkmcrystals.closed_form`` replace: every
-entry is read through ``_entry``, every index through
-``IndexSequence.at`` and every real slot through the b(n) formula,
-where the library reads real slots off the index array.  They
-are kept, unchanged in substance, as the path the fast predicates are
-diffed against (``test_closed_form_differential.py``); nothing in the
-library calls them.
+The predicates are the straightforward position-by-position
+evaluations that the table-driven predicates of
+``gkmcrystals.closed_form`` replace: every entry is read through
+``_entry``, every index through ``IndexSequence.at`` and every real
+slot through the b(n) formula, where the library reads real slots off
+the index array.  They are kept, unchanged in substance, as the path the fast predicates are
+diffed against (``test_closed_form_differential.py``).  The box
+enumerator builds every string from its multiset, where the library
+concatenates a padded head with a tabulated tail; it is diffed against
+the library's (``test_enumeration_differential.py``).  Nothing in the
+library calls either.
 """
 
+from itertools import combinations_with_replacement
+
 from gkmcrystals.closed_form import MonsterConditionError
+
+
+def iter_bounded_strings(positions: int, max_height: int):
+    """The oracle box built string by string: a string of height h is a
+    multiset of h positions, counted out into a list."""
+    yield ()
+    for h in range(1, max_height + 1):
+        for c in combinations_with_replacement(range(positions), h):
+            x = [0] * (c[-1] + 1)
+            for p in c:
+                x[p] += 1
+            yield tuple(x)
 
 
 def _entry(x, k):

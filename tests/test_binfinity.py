@@ -147,13 +147,14 @@ class TestProjection:
         assert result.report.ok, result.report.lines()
 
     def test_cross_spelling_projection(self, d1):
-        # one sequence spelled two ways: the string elements must agree
+        # one sequence spelled several ways: the string elements must agree
         lam = d1.weight(lam=[1, 1])
         hw = G.realize_highest_weight(d1, G.cyclic_sequence(d1), lam, 3)
-        binf = G.realize_binfinity(d1, G.explicit_sequence(d1, (), (0, 1)), 3)
-        result = G.highest_weight_projection(hw, binf)
-        assert len(hw) == 11 and len(result.witness.mapping) == 11
-        assert result.report.ok and not result.report.violations, result.report.lines()
+        for prefix, cycle in [((), (0, 1)), ((0, 1), (0, 1)), ((), (0, 1, 0, 1))]:
+            binf = G.realize_binfinity(d1, G.explicit_sequence(d1, prefix, cycle), 3)
+            result = G.highest_weight_projection(hw, binf)
+            assert len(hw) == 11 and len(result.witness.mapping) == 11, (prefix, cycle)
+            assert result.report.ok and not result.report.violations, result.report.lines()
 
 
 class TestCrystalEmbedding:

@@ -29,15 +29,32 @@ class TestIndexSequence:
             G.IndexSequence(d1, (), ())
 
     def test_identity_is_prefix_and_cycle(self, d1):
-        spellings = [G.cyclic_sequence(d1), G.explicit_sequence(d1, (), (0, 1))]
-        a, b = (G.StringCrystal(d1, seq) for seq in spellings)
-        assert a.element((1, 1)) == b.element((1, 1))
-        assert hash(a.element((1, 1))) == hash(b.element((1, 1)))
+        spellings = [
+            G.cyclic_sequence(d1),
+            G.explicit_sequence(d1, (), (0, 1)),
+            G.explicit_sequence(d1, (0, 1), (0, 1)),
+            G.explicit_sequence(d1, (), (0, 1, 0, 1)),
+            G.explicit_sequence(d1, (0, 1, 0), (1, 0, 1, 0, 1, 0)),
+        ]
+        a, *others = (G.StringCrystal(d1, seq) for seq in spellings)
+        for b in others:
+            assert a.element((1, 1)) == b.element((1, 1)), b.seq
+            assert hash(a.element((1, 1))) == hash(b.element((1, 1)))
+
+    def test_identity_keeps_the_given_spelling(self, d1):
+        seq = G.explicit_sequence(d1, (1, 0, 1), (0, 1, 0, 1))
+        assert (seq.prefix, seq.cycle) == ((1, 0, 1), (0, 1, 0, 1))
+        assert seq.seq_id == str(((), (1, 0)))
+        assert seq.scan_bound(0) == 7
+        for model in (G.MonsterModel(G.MonsterParams(2, (2, 1))),
+                      G.MonsterModel(G.MonsterParams(3, (1, 1, 1)))):
+            seq = model.sequence
+            assert seq.seq_id == str((seq.prefix, seq.cycle))
 
     def test_different_sequences_share_no_element(self, d1):
         crystals = [
             G.StringCrystal(d1, G.explicit_sequence(d1, prefix, cycle))
-            for prefix, cycle in [((), (0, 1)), ((), (1, 0)), ((), (0, 1, 1)), ((1,), (0, 1))]
+            for prefix, cycle in [((), (0, 1)), ((), (1, 0)), ((), (0, 1, 1)), ((0,), (0, 1))]
         ]
         for j, a in enumerate(crystals):
             for b in crystals[j + 1:]:
