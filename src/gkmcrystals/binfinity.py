@@ -21,18 +21,24 @@ imaginary i:
     vanishes; e_i decrements there provided x_{n_f} > 0 and every earlier
     occurrence k of i satisfies  sum_{k<l<=n_f} <h_i, alpha_{i_l}> x_l < a_ii.
 
-Beyond the support all the maximized quantities are constant, so no
-scan goes past the support end plus one full cycle of the sequence.
+Beyond the support all the maximized quantities are constant, so only
+the first occurrence of i past the support end is read there; it lies
+within one full cycle of the sequence.
 
-Scans read the sequence from a cached index array
+The sequence is read from a cached index array
 (``IndexSequence.indices``), grown by doubling when a longer string
-arrives.  One backward pass per real index yields eps_i together with
-the smallest and largest maximizing positions, so f_i and e_i need no
-second scan; one forward pass per imaginary index yields the lowering
-slot and the raising test at that slot.  ``StringCrystal.stats`` runs
-those scans once per index for all of a node's statistics; phi_i keeps
-its own forward scan, so the identity phi_i = eps_i + <h_i, wt> that
-``check_axioms`` verifies stays a check.
+arrives.  Next to it each ``StringCrystal`` keeps, per index i, the
+entries <h_i, alpha_{i_k}> along the array and the positions where i
+occurs, rebuilt when the array regrows.  One routine gives all of an
+index's statistics from one C-level prefix-sum pass over a string:
+for a real index, eps_i, phi_i and both maximizing positions at the
+occurrences of i in the support and the first one past it; for an
+imaginary index, the lowering slot (the first occurrence whose prefix
+sum equals the total) and the raising test there.  ``stats`` runs it
+once per index, and eps, phi, e and f each run it for their index.
+phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
+so that identity, which ``check_axioms`` verifies, stays a check.
+Each distinct weight is built once per crystal and handed out again.
 
 Elements carry their sequence's ``seq_id``, derived from its reduced
 (prefix, cycle) -- the cycle cut to its primitive period and the
@@ -50,7 +56,10 @@ edge by edge rather than assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .cartan import BorcherdsCartanDatum, Weight
 from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
@@ -223,15 +232,6 @@ def sequence_from_spec(datum, spec: dict) -> IndexSequence:
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
-def _pairing_sum(row, idx, x) -> int:
-    """sum_k row[i_k] x_k over the support, for an index array idx."""
-    total = 0
-    for ik, xk in zip(idx, x):
-        if xk:
-            total += row[ik] * xk
-    return total
-
-
 class StringCrystal(Crystal):
     """Crystal structure on finitely supported strings over a sequence."""
 
@@ -240,6 +240,8 @@ class StringCrystal(Crystal):
         if seq.datum != datum:
             raise ValueError("sequence was built for a different datum")
         self.seq = seq
+        self._idx = None  # the index array the tables below were built for
+        self._weights = {}  # root coordinates -> the one Weight built for them
 
     def zero(self) -> StringElement:
         return StringElement((), self.seq.seq_id)
@@ -255,99 +257,78 @@ class StringCrystal(Crystal):
         for ik, v in zip(self.seq.indices(len(b.x)), b.x):
             if v:
                 rt[ik] -= v
-        return Weight((0,) * self.datum.size, tuple(rt))
+        rt = tuple(rt)
+        w = self._weights.get(rt)
+        if w is None:
+            w = self._weights[rt] = Weight((0,) * self.datum.size, rt)
+        return w
 
-    def _real_scan(self, i, x):
-        """(eps_i, smallest maximizing position, largest maximizing
-        position) of the raising statistic
-
-            value(k) = x_k + sum_{l>k} <h_i, alpha_{i_l}> x_l,  i_k = i,
-
-        in one backward pass over the positions up to the scan bound, so
-        the constant beyond-support value 0 is always represented.
-        """
-        row = self.datum.cartan[i]
-        n = len(x)
-        bound = self.seq.scan_bound(n)
-        idx = self.seq.indices(bound)
-        top = lo = hi = None
-        suffix = 0
-        for k in range(bound, 0, -1):
-            ik = idx[k - 1]
-            xk = x[k - 1] if k <= n else 0
-            if ik == i:
-                v = xk + suffix
-                if top is None or v > top:
-                    top = v
-                    lo = hi = k
-                elif v == top:
-                    lo = k
-            if xk:
-                suffix += row[ik] * xk
-        return top, lo, hi
-
-    def _imaginary_scan(self, i, x):
-        """(lowering slot, whether e_i is nonzero there) in one forward
-        pass.  The slot is the smallest position n_f with i_{n_f} = i
-        whose tail sum vanishes; e_i decrements there iff x_{n_f} > 0 and
-        every earlier occurrence k of i sees sum_{k<l<=n_f} < a_ii, that
-        is, the running sum at n_f exceeds the smallest running sum at
-        an earlier occurrence by less than a_ii."""
-        row = self.datum.cartan[i]
-        a_ii = row[i]
-        n = len(x)
+    def _tables(self, n):
+        """Per index i, over an index array covering the scan bound of a
+        string of length n: the entries <h_i, alpha_{i_k}> along the
+        array and the positions k where i_k = i.  Rebuilt when the
+        sequence regrows its array."""
         idx = self.seq.indices(self.seq.scan_bound(n))
-        total = _pairing_sum(row, idx, x)
-        run = 0
-        low = None  # smallest running sum at an earlier occurrence of i
-        for k, ik, xk in zip(range(1, n + 1), idx, x):
-            if xk:
-                run += row[ik] * xk
-            if ik == i:
+        if idx is not self._idx:
+            self._rows = [list(map(row.__getitem__, idx)) for row in self.datum.cartan]
+            self._occurrences = [[] for _ in self.datum.indices()]
+            for k, ik in enumerate(idx, start=1):
+                self._occurrences[ik].append(k)
+            self._idx = idx
+        return self._rows, self._occurrences
+
+    def _index_stats(self, i, x, tables):
+        """(eps_i, phi_i, position f_i increments, position e_i
+        decrements or 0 when e_i x is zero), read off the prefix sums
+        pre_k = sum_{l<=k} <h_i, alpha_{i_l}> x_l at the occurrences of
+        i in the support and the first one past it."""
+        rows, occurrences = tables
+        pre = list(accumulate(map(mul, rows[i], x), initial=0))
+        total = pre[-1]
+        occ = occurrences[i]
+        inside = bisect_right(occ, len(x))
+        past = occ[inside]  # beyond the support every tail sum is zero
+        is_real, a_ii, _ = self.datum.index_rows[i]
+        if not is_real:
+            # the lowering slot: the first occurrence with vanishing tail
+            # sum; e_i acts there iff x is nonzero there and the tail sum
+            # seen from every earlier occurrence stays below a_ii
+            low = None
+            for k in occ[:inside]:
+                run = pre[k]
                 if run == total:
-                    return k, xk > 0 and (low is None or run - low < a_ii)
+                    raisable = x[k - 1] and (low is None or run - low < a_ii)
+                    return 0, -total, k, k if raisable else 0
                 if low is None or run < low:
                     low = run
-        # beyond the support the tail sum is zero: the slot is the next
-        # occurrence of i, which lies within one cycle, and x is zero there
-        return idx.index(i, n) + 1, False
-
-    def _scan(self, i, x):
-        """(eps_i, position f_i increments, position e_i decrements or 0
-        when e_i x is zero): the string rule, one scan per call."""
-        if self.datum.is_imaginary(i):
-            slot, raisable = self._imaginary_scan(i, x)
-            return 0, slot, slot if raisable else 0
-        top, lo, hi = self._real_scan(i, x)
-        if top <= 0 or hi > len(x) or x[hi - 1] == 0:
+            return 0, -total, past, 0
+        # real: eps_i maximizes x_k + (tail sum after k), phi_i maximizes
+        # -x_k - (prefix sum before k); past the support they read 0 and
+        # -total.  Going down, hi is the largest maximizing position and
+        # lo the smallest.
+        top, lo, hi, phi = 0, past, past, -total
+        for k in reversed(occ[:inside]):
+            xk = x[k - 1]
+            v = xk + total - pre[k]
+            if v > top:
+                top, lo, hi = v, k, k
+            elif v == top:
+                lo = k
+            w = -xk - pre[k - 1]
+            if w > phi:
+                phi = w
+        if top <= 0 or x[hi - 1] == 0:
             # a zero at hi with top > 0 means the raised factor leaves the
             # crystal (b_i(+1) is zero); happens only outside the
             # component of the zero string
             hi = 0
-        return top, lo, hi
+        return top, phi, lo, hi
 
     def eps(self, i, b):
-        if self.datum.is_imaginary(i):
-            return 0
-        return self._real_scan(i, b.x)[0]
+        return self._index_stats(i, b.x, self._tables(len(b.x)))[0]
 
     def phi(self, i, b):
-        row = self.datum.cartan[i]
-        x = b.x
-        idx = self.seq.indices(len(x))
-        if self.datum.is_imaginary(i):
-            return -_pairing_sum(row, idx, x)
-        best = None
-        prefix = 0
-        for ik, xk in zip(idx, x):
-            if ik == i:
-                cand = -xk - prefix
-                if best is None or cand > best:
-                    best = cand
-            if xk:
-                prefix += row[ik] * xk
-        # i recurs beyond the support, where every candidate is -prefix
-        return -prefix if best is None or -prefix > best else best
+        return self._index_stats(i, b.x, self._tables(len(b.x)))[1]
 
     def _bump(self, x, k, delta) -> StringElement:
         """x with delta added at position k, zero-padded or stripped of
@@ -361,19 +342,20 @@ class StringCrystal(Crystal):
         return StringElement(y, self.seq.seq_id)
 
     def f(self, i, b):
-        return self._bump(b.x, self._scan(i, b.x)[1], +1)
+        return self._bump(b.x, self._index_stats(i, b.x, self._tables(len(b.x)))[2], +1)
 
     def e(self, i, b):
-        slot = self._scan(i, b.x)[2]
+        slot = self._index_stats(i, b.x, self._tables(len(b.x)))[3]
         return self._bump(b.x, slot, -1) if slot else None
 
     def stats(self, b):
         x = b.x
+        tables = self._tables(len(x))
         eps, phi, e, f = [], [], [], []
         for i in self.datum.indices():
-            top, lower, upper = self._scan(i, x)
-            eps.append(top)
-            phi.append(self.phi(i, b))
+            eps_i, phi_i, lower, upper = self._index_stats(i, x, tables)
+            eps.append(eps_i)
+            phi.append(phi_i)
             e.append(self._bump(x, upper, -1) if upper else None)
             f.append(self._bump(x, lower, +1))
         return self.wt(b), tuple(eps), tuple(phi), tuple(e), tuple(f)

@@ -82,8 +82,8 @@ class Weight:
     rt: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(_as_int(v) for v in self.lam))
-        object.__setattr__(self, "rt", tuple(_as_int(v) for v in self.rt))
+        object.__setattr__(self, "lam", tuple(map(_as_int, self.lam)))
+        object.__setattr__(self, "rt", tuple(map(_as_int, self.rt)))
         if len(self.lam) != len(self.rt):
             raise ValueError("lam and rt parts must have equal length")
 
@@ -279,6 +279,12 @@ class BorcherdsCartanDatum:
         zero = (0,) * self.size
         units = [tuple(int(j == i) for j in self.indices()) for i in self.indices()]
         return tuple(Weight(u, zero) for u in units), tuple(Weight(zero, u) for u in units)
+
+    @cached_property
+    def index_rows(self) -> tuple:
+        """(is_real, a_ii, Cartan row i) per index i, built once: what
+        the tensor rule and the string statistics read for each index."""
+        return tuple((self.is_real(i), row[i], row) for i, row in enumerate(self.cartan))
 
     def weight(self, lam=None, rt=None) -> Weight:
         lam = tuple(lam) if lam is not None else (0,) * self.size

@@ -28,6 +28,7 @@ bracketing is an executable fact rather than an assumption.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .checks import CheckReport
@@ -149,10 +150,13 @@ def _pair_stats(datum, pair, left_stats, right_stats):
     lwt, leps, lphi, lup, ldown = left_stats
     rwt, reps, rphi, rup, rdown = right_stats
     eps, phi, e, f = [], [], [], []
-    for i in datum.indices():
-        eps.append(max(leps[i], reps[i] - datum.pairing(i, lwt)))
-        phi.append(max(lphi[i] + datum.pairing(i, rwt), rphi[i]))
-        side = raising_side(datum.is_real(i), datum.a(i, i), lphi[i], reps[i])
+    for i, (is_real, a_ii, row) in enumerate(datum.index_rows):
+        # <h_i, wt> of each child, by datum.pairing's formula
+        lpair = lwt.lam[i] + sum(map(mul, row, lwt.rt))
+        rpair = rwt.lam[i] + sum(map(mul, row, rwt.rt))
+        eps.append(max(leps[i], reps[i] - lpair))
+        phi.append(max(lphi[i] + rpair, rphi[i]))
+        side = raising_side(is_real, a_ii, lphi[i], reps[i])
         e.append(_replaced(pair, side, lup[i], rup[i]))
         f.append(_replaced(pair, lowering_side(lphi[i], reps[i]), ldown[i], rdown[i]))
     return lwt + rwt, tuple(eps), tuple(phi), tuple(e), tuple(f)

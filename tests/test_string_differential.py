@@ -1,9 +1,12 @@
-"""StringCrystal, which reads all of a node's statistics in one scan per
-index over the cached index array, against the per-operator rescans it
-replaces: ``stats`` and each of wt, eps, phi, e and f on every node of
-B(infinity) truncations, on the string factors of the B(lambda)
-carriers, and on every string of a small box (which reaches strings
-outside the component of the zero string)."""
+"""StringCrystal, which reads all of a node's statistics from one
+prefix-sum pass per index over per-sequence Cartan tables, against the
+per-operator rescans it replaces: ``stats`` and each of wt, eps, phi, e
+and f on every node of B(infinity) truncations, on the string factors of
+the B(lambda) carriers, and on every string of a small box (which
+reaches strings outside the component of the zero string).  Extreme
+data (an entry past the float range, a lone imaginary index, 21 indices)
+and tables built for a shorter index array are covered too, as is the
+one-Weight-per-weight interning of each crystal."""
 
 from itertools import product
 
@@ -12,7 +15,7 @@ import pytest
 import gkmcrystals as G
 
 import string_reference as ref
-from conftest import make_d1, make_toy_monster
+from conftest import make_d1, make_huge, make_imaginary_only, make_toy_monster
 
 
 def disagreements(crystal, strings):
@@ -107,3 +110,84 @@ def test_index_array_matches_at(make):
         if len(idx) > previous > 0:
             assert len(idx) >= 2 * previous
         previous = len(idx)
+
+
+def imaginary_only():
+    datum = make_imaginary_only()
+    return datum, G.cyclic_sequence(datum)
+
+
+def huge():
+    datum = make_huge()
+    return datum, G.cyclic_sequence(datum)
+
+
+@pytest.mark.parametrize("make, depth", [
+    (huge, 6),
+    (imaginary_only, 6),
+    (lambda: monster(1, (20,)), 2),
+], ids=["huge", "imaginary-only", "monster-1-20"])
+def test_wide_and_extreme_binfinity(make, depth):
+    assert disagreements(*binfinity_strings(*make(), depth)) == []
+
+
+@pytest.mark.parametrize("make, length", [
+    (huge, 6),
+    (imaginary_only, 6),
+    (lambda: monster(1, (20,)), 3),
+], ids=["huge", "imaginary-only", "monster-1-20"])
+def test_wide_and_extreme_box_strings(make, length):
+    crystal = G.StringCrystal(*make())
+    assert disagreements(crystal, box_strings(crystal, length=length)) == []
+
+
+@pytest.mark.parametrize("make", [explicit_with_prefix, lambda: monster(2, (2, 1))],
+                         ids=["explicit", "monster-2-21"])
+def test_tables_follow_a_regrown_index_array(make):
+    """Tables built for a short index array must not serve a string more
+    than twice as long, read by this crystal or by another one over the
+    same sequence."""
+    datum, seq = make()
+    crystal, other = G.StringCrystal(datum, seq), G.StringCrystal(datum, seq)
+    crystal.stats(crystal.zero())
+    other.stats(other.zero())
+    short = len(seq.indices(0))
+    length = 2 * short + 3
+    tails = product(range(3), repeat=3)
+    strings = [crystal.element((1,) + (0,) * (length - 4) + tail) for tail in tails]
+    assert disagreements(crystal, strings) == []
+    assert len(seq.indices(0)) > 2 * short
+    assert disagreements(other, strings) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_rank2(2, 1, 4),
+    explicit_with_prefix,
+    huge,
+    lambda: monster(2, (2, 1)),
+], ids=["rank2-214", "explicit", "huge", "monster-2-21"])
+def test_wt_interned_per_crystal(make):
+    crystal = G.StringCrystal(*make())
+    strings = box_strings(crystal, length=5)
+    weights = {b: crystal.wt(b) for b in strings}
+    assert all(w == ref.wt(crystal, b) for b, w in weights.items())
+    # one Weight object per distinct weight, handed out again on a repeat
+    assert len({id(w) for w in weights.values()}) == len(set(weights.values()))
+    assert all(crystal.wt(b) is w for b, w in weights.items())
+
+
+def test_crystals_never_share_interned_weights():
+    d1, prefixed = explicit_with_prefix()
+    crystals = [
+        G.StringCrystal(d1, G.cyclic_sequence(d1)),
+        G.StringCrystal(d1, G.cyclic_sequence(d1)),
+        G.StringCrystal(d1, prefixed),
+        G.StringCrystal(*huge()),
+        G.StringCrystal(*cyclic_rank2(2, 1, 4)),
+    ]
+    xs = list(product(range(3), repeat=4))
+    seen = {}
+    for n, crystal in enumerate(crystals):
+        for x in xs:
+            seen.setdefault(id(crystal.wt(crystal.element(x))), set()).add(n)
+    assert all(len(owners) == 1 for owners in seen.values())
