@@ -102,7 +102,7 @@ class IndexSequence:
         self.datum = datum
         self.prefix = prefix
         self.cycle = cycle
-        self.seq_id = str(_reduced(prefix, cycle))  # a str, so element hashes stay cached
+        self.seq_id = str(_reduced(prefix, cycle))  # a str, whose hash is cached
         self._indices = []
 
     def at(self, k: int) -> int:
@@ -247,7 +247,9 @@ class StringCrystal(Crystal):
         return StringElement((), self.seq.seq_id)
 
     def element(self, x) -> StringElement:
-        x = tuple(int(v) for v in x)
+        """The string x with its trailing zeros stripped; the entries
+        must be integers (``operator.index``), so 1.7 or "3" raise."""
+        x = tuple(x)
         while x and x[-1] == 0:
             x = x[:-1]
         return StringElement(x, self.seq.seq_id)
@@ -332,14 +334,19 @@ class StringCrystal(Crystal):
 
     def _bump(self, x, k, delta) -> StringElement:
         """x with delta added at position k, zero-padded or stripped of
-        trailing zeros into canonical form."""
+        trailing zeros into canonical form.  x is canonical, so the
+        result is too and skips the validating constructor; only an
+        entry driven below zero is checked."""
+        v = (x[k - 1] if k <= len(x) else 0) + delta
+        if v < 0:
+            raise ValueError(f"position {k} of {x} would go negative")
         if k > len(x):
-            y = x + (0,) * (k - len(x) - 1) + (delta,)
+            y = x + (0,) * (k - len(x) - 1) + (v,)
         else:
-            y = x[:k - 1] + (x[k - 1] + delta,) + x[k:]
+            y = x[:k - 1] + (v,) + x[k:]
             while y and not y[-1]:
                 y = y[:-1]
-        return StringElement(y, self.seq.seq_id)
+        return tuple.__new__(StringElement, (y, self.seq.seq_id))
 
     def f(self, i, b):
         return self._bump(b.x, self._index_stats(i, b.x, self._tables(len(b.x)))[2], +1)

@@ -18,13 +18,18 @@ Three concrete crystals are provided:
 All element types are defined here, next to ``sort_key``: the
 ``ElementaryElement``, ``ShiftElement`` and ``UnitElement`` of those
 three crystals, the ``StringElement`` of the string crystals in
-``binfinity`` and the flat ``TensorElement`` of ``tensor``.
+``binfinity`` and the flat ``TensorElement`` of ``tensor``.  The last
+two are built and hashed once or more per generated node, so they are
+slotted tuple subclasses: hashing and equality run in C and are by
+value.  Their constructors validate; the operator targets of
+``StringCrystal`` and ``TensorCrystal``, canonical by construction, are
+built without re-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index as _as_int
+from operator import index as _as_int, itemgetter
 
 from .cartan import NEG_INF, BorcherdsCartanDatum, Weight
 
@@ -96,33 +101,61 @@ class UnitElement:
     pass
 
 
-@dataclass(frozen=True)
-class StringElement:
-    """Finitely supported string, canonical form: no trailing zeros."""
+class StringElement(tuple):
+    """Finitely supported string, canonical form: no trailing zeros.
 
-    x: tuple
-    seq_id: str
+    The tuple (x, seq_id), so hashing and equality run in C.  Equality
+    is by value: an element equals the plain tuple (x, seq_id), and
+    strings over different sequences are never equal.  The constructor
+    validates; ``StringCrystal`` builds its operator targets, canonical
+    by construction, without re-validating them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(map(_as_int, self.x)))
-        if self.x and min(self.x) < 0:
+    __slots__ = ()
+
+    def __new__(cls, x, seq_id):
+        x = tuple(map(_as_int, x))
+        if x and min(x) < 0:
             raise ValueError("string entries must be nonnegative")
-        if self.x and self.x[-1] == 0:
+        if x and x[-1] == 0:
             raise ValueError("strings must carry no trailing zeros")
+        return tuple.__new__(cls, (x, seq_id))
+
+    x = property(itemgetter(0))
+    seq_id = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(x={self.x!r}, seq_id={self.seq_id!r})"
 
 
-@dataclass(frozen=True)
-class TensorElement:
-    """Flat ordered tuple of at least two non-tensor factors."""
+class TensorElement(tuple):
+    """Flat ordered tuple of at least two non-tensor factors.
 
-    factors: tuple
+    The tuple (factors,), equal by value like ``StringElement``.  The
+    constructor validates; ``TensorCrystal`` builds its operator
+    targets from its own flat leaves without re-validating them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) < 2:
+    __slots__ = ()
+
+    def __new__(cls, factors):
+        factors = tuple(factors)
+        if len(factors) < 2:
             raise ValueError("tensor elements need at least two factors")
-        if any(isinstance(f, TensorElement) for f in self.factors):
+        if any(isinstance(f, TensorElement) for f in factors):
             raise ValueError("tensor elements must be flat")
+        return tuple.__new__(cls, (factors,))
+
+    factors = property(itemgetter(0))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(factors={self.factors!r})"
 
 
 class ElementaryCrystal(Crystal):

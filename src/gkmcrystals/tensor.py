@@ -129,8 +129,11 @@ class TensorCrystal(Crystal):
 
     @staticmethod
     def _flat(tree):
+        """The flat element of a target tree, or None.  Its leaves come
+        from this crystal's own (flattened) factors, so no leaf is a
+        ``TensorElement`` and the validating constructor is skipped."""
         parts = bracket_leaves(tree)
-        return None if parts is None else TensorElement(parts)
+        return None if parts is None else tuple.__new__(TensorElement, (parts,))
 
 
 def bracket_stats(datum, tree):
