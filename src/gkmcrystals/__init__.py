@@ -61,6 +61,7 @@ from .checks import (
 from .binfinity import (
     AuditError,
     IndexSequence,
+    MonsterParams,
     StringCrystal,
     crystal_embedding,
     cyclic_sequence,
@@ -76,7 +77,6 @@ from .binfinity import (
 )
 from .closed_form import (
     MonsterModel,
-    MonsterParams,
     OracleReport,
     Rank2Params,
     compare_predicate_with_bfs,

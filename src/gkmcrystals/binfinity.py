@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-from .cartan import BorcherdsCartanDatum, Weight
+from .cartan import BorcherdsCartanDatum, Weight, is_int
 from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
 from .crystals import (
     Crystal,
@@ -83,18 +83,18 @@ class AuditError(RuntimeError):
 class IndexSequence:
     """Eventually periodic index sequence, 1-based positions.
 
-    Every index of the datum must appear in the cycle, which is how all
-    the constructors guarantee "every index appears infinitely often".
+    Every entry must be an index of the datum, an ``int`` (not converted),
+    and every index must appear in the cycle, which is how all the
+    constructors guarantee "every index appears infinitely often".
     """
 
     def __init__(self, datum: BorcherdsCartanDatum, prefix, cycle):
-        prefix = tuple(int(i) for i in prefix)
-        cycle = tuple(int(i) for i in cycle)
+        prefix, cycle = tuple(prefix), tuple(cycle)
         if not cycle:
             raise ValueError("the cycle must be nonempty")
         for i in prefix + cycle:
-            if not 0 <= i < datum.size:
-                raise ValueError(f"sequence entry {i} out of range")
+            if not (is_int(i) and 0 <= i < datum.size):
+                raise ValueError(f"sequence entry {i!r} is not an index 0..{datum.size - 1}")
         missing = sorted(set(datum.indices()) - set(cycle))
         if missing:
             names = ", ".join(datum.index_names[i] for i in missing)
@@ -163,6 +163,24 @@ def monster_real_position(n: int, multiplicities) -> int:
     return sum((n - i) * m[i] for i in range(min(n, len(m)))) + n + 1
 
 
+@dataclass(frozen=True)
+class MonsterParams:
+    """Monster-type block parameters, the one check of them: an ``int``
+    level L >= 1 and a list or tuple of L positive ``int`` multiplicities
+    m(1..L), kept as a tuple; nothing is converted."""
+
+    level: int
+    multiplicities: tuple
+
+    def __post_init__(self):
+        level, m = self.level, self.multiplicities
+        if not (is_int(level) and level >= 1 and isinstance(m, (list, tuple)) and len(m) == level
+                and all(is_int(v) and v >= 1 for v in m)):
+            raise ValueError("need an integer level L >= 1 and L positive integer "
+                             f"multiplicities, got {level!r} and {m!r}")
+        object.__setattr__(self, "multiplicities", tuple(m))
+
+
 def monster_block_sequence(datum, level: int, multiplicities) -> IndexSequence:
     """Block sequence for a Monster-type datum truncated at ``level``.
 
@@ -173,29 +191,18 @@ def monster_block_sequence(datum, level: int, multiplicities) -> IndexSequence:
     degree <= n; blocks saturate at ``level``, which makes the sequence
     eventually periodic while keeping the real index at positions b(n).
     """
-    m = tuple(int(v) for v in multiplicities)
-    if level < 1 or len(m) != level or any(v < 1 for v in m):
-        raise ValueError("need positive multiplicities m(1..level)")
+    m = MonsterParams(level, multiplicities).multiplicities
     if datum.size != 1 + sum(m):
         raise ValueError(f"datum has {datum.size} indices, expected {1 + sum(m)}")
     if not datum.is_real(0) or any(not datum.is_imaginary(i) for i in range(1, datum.size)):
         raise ValueError("expected the real index first, imaginary indices after")
-    degree_start = [1]
-    for v in m[:-1]:
-        degree_start.append(degree_start[-1] + v)
-
-    def block(n):
-        out = [0]
-        for d in range(1, min(n, level) + 1):
-            out.extend(range(degree_start[d - 1], degree_start[d - 1] + m[d - 1]))
-        return out
-
-    prefix = [i for n in range(1, level) for i in block(n)]
-    return IndexSequence(datum, prefix, block(level))
+    end = list(accumulate(m, initial=1))  # end[d]: just past the indices of degree <= d
+    prefix = [i for n in range(1, level) for i in (0, *range(1, end[n]))]
+    return IndexSequence(datum, prefix, (0, *range(1, end[level])))
 
 
-def _spec_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_SPEC_KEYS = {"cyclic": {"kind"}, "explicit": {"kind", "prefix", "cycle"},
+              "monster": {"kind", "level", "multiplicities"}}  # the keys of each kind
 
 
 def sequence_from_spec(datum, spec: dict) -> IndexSequence:
@@ -203,11 +210,16 @@ def sequence_from_spec(datum, spec: dict) -> IndexSequence:
     {"kind": "explicit", "prefix": [...], "cycle": [...]} |
     {"kind": "monster", "level": L, "multiplicities": [...]}.
 
-    Explicit entries may be index names or 0-based positions.  Every
-    shape check of a spec is made here; a spec that does not fit the
-    datum raises KeyError (unknown index name) or ValueError.
+    Explicit entries may be index names or 0-based positions.  Only the
+    shape (kind, keys, lists, names) is checked here, the values by the
+    constructors: KeyError for an unknown index name, else ValueError.
     """
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:  # a JSON list does not hash
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    unknown = [key for key in spec if key not in _SPEC_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"unknown keys of sequence kind {kind!r}: {', '.join(map(str, unknown))}")
     if kind == "cyclic":
         return cyclic_sequence(datum)
     if kind == "explicit":
@@ -215,21 +227,10 @@ def sequence_from_spec(datum, spec: dict) -> IndexSequence:
             entries = spec.get(key, [])
             if not isinstance(entries, list):
                 raise ValueError(f'explicit "{key}" must be a list, got {entries!r}')
-            for v in entries:
-                if not (isinstance(v, str) or _spec_int(v)):
-                    raise ValueError(f"sequence entry {v!r} is neither an index name nor an integer")
             return [datum.index_of(v) if isinstance(v, str) else v for v in entries]
 
         return explicit_sequence(datum, resolve("prefix"), resolve("cycle"))
-    if kind == "monster":
-        level, mults = spec.get("level"), spec.get("multiplicities")
-        if not (_spec_int(level) and isinstance(mults, list) and all(map(_spec_int, mults))):
-            raise ValueError(
-                'a "monster" sequence needs an integer "level" and a list of '
-                'integer "multiplicities"'
-            )
-        return monster_block_sequence(datum, level, mults)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    return monster_block_sequence(datum, spec.get("level"), spec.get("multiplicities"))
 
 
 class StringCrystal(Crystal):

@@ -63,6 +63,11 @@ def is_neg_inf(value) -> bool:
     return isinstance(value, NegInfinity)
 
 
+def is_int(value) -> bool:
+    """The one integer rule of datum, sequence and parameter values."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ext_to_json(value):
     """Serialize an extended integer; -inf becomes the string "-inf"."""
     return "-inf" if is_neg_inf(value) else value
@@ -179,13 +184,13 @@ def validate_cartan_data(matrix, symmetrizers) -> ValidationReport:
         if len(r) != n:
             raise DatumShapeError(f"matrix is not square: {n} rows, row of length {len(r)}")
         for v in r:
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not is_int(v):
                 raise DatumShapeError(f"matrix entry {v!r} is not an integer")
     syms = list(symmetrizers)
     if len(syms) != n:
         raise DatumShapeError(f"{len(syms)} symmetrizers for a {n}x{n} matrix")
     for s in syms:
-        if isinstance(s, bool) or not isinstance(s, int) or s <= 0:
+        if not is_int(s) or s <= 0:
             raise DatumShapeError(f"symmetrizer {s!r} is not a positive integer")
 
     report = ValidationReport()

@@ -25,7 +25,6 @@ from .cartan import DatumConditionError, DatumFormatError, DatumShapeError, load
 from .checks import check_axioms, check_category_profile
 from .closed_form import (
     MonsterModel,
-    MonsterParams,
     Rank2Params,
     compare_predicate_with_bfs,
     rank2_datum,
@@ -33,6 +32,7 @@ from .closed_form import (
     rank2_member,
 )
 from .binfinity import (
+    MonsterParams,
     crystal_embedding,
     cyclic_sequence,
     highest_weight_projection,

@@ -16,8 +16,9 @@ acts as a budget in front of position 1 -- <h_i, lam> is the room an
 index has before its first occurrence -- and the highest-weight
 predicate is the base one with that budget read off lam, only where a
 condition needs it.  ``compare_predicate_with_bfs`` enumerates every
-bounded string passing a predicate and diffs the set against the
-generated component -- the two computations share no code path.  The
+bounded string passing a predicate and diffs the set and its character
+(weights summed from the sequence and the datum, not by the string
+crystal) against the generated component -- no shared code path.  The
 box holds C(positions + depth, depth) strings, tabulated by halves so
 that each costs one tuple concatenation (``iter_bounded_strings``).
 
@@ -39,10 +40,10 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, compress
 from operator import mul
 
-from .cartan import BorcherdsCartanDatum, Weight, make_datum
+from .cartan import BorcherdsCartanDatum, Weight, is_int, make_datum
 from .binfinity import (
     IndexSequence,
-    StringCrystal,
+    MonsterParams,
     monster_block_sequence,
     monster_real_position,
     realize_binfinity,
@@ -63,10 +64,9 @@ class Rank2Params:
     c: int
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("a and b must be positive")
-        if self.c < 0 or self.c % 2:
-            raise ValueError("c must be even and nonnegative")
+        a, b, c = self.a, self.b, self.c
+        if not (all(map(is_int, (a, b, c))) and a >= 1 and b >= 1 and c >= 0 and c % 2 == 0):
+            raise ValueError(f"need integers a, b >= 1 and an even c >= 0, got {a!r}, {b!r}, {c!r}")
 
 
 def rank2_datum(p: Rank2Params) -> BorcherdsCartanDatum:
@@ -117,19 +117,6 @@ def _rank2_conditions(x, p: Rank2Params, datum=None, lam=None) -> bool:
             if k > 1 or lam is not None and datum.pairing(1, lam) == 0:
                 return False
     return lam is None or not x or x[0] <= datum.pairing(0, lam)
-
-
-@dataclass(frozen=True)
-class MonsterParams:
-    level: int
-    multiplicities: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "multiplicities", tuple(int(v) for v in self.multiplicities))
-        if self.level < 1 or len(self.multiplicities) != self.level:
-            raise ValueError("need multiplicities m(1..level)")
-        if any(v < 1 for v in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
 
 
 def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
@@ -362,7 +349,8 @@ def compare_predicate_with_bfs(
     Enumerates every string of height <= depth over the default position
     bound, keeps those passing ``member``, generates the component to
     the same depth (the highest-weight one when ``lam`` is given), and
-    reports the set differences plus both per-weight multiplicity tables.
+    reports the set differences plus both per-weight multiplicity tables;
+    the predicate side computes its weights on its own, from the sequence.
     """
     passing = set(filter(member, iter_bounded_strings(default_position_bound(seq, depth), depth)))
 
@@ -372,15 +360,18 @@ def compare_predicate_with_bfs(
     else:
         graph = realize_highest_weight(datum, seq, lam, depth)
         generated = {node.elt.factors[0].x for node in graph.nodes}
-    crystal = StringCrystal(datum, seq)
     shift = datum.zero_weight() if lam is None else lam
+
+    def weight(x):  # wt(x) = lam - sum_k x_k alpha_{i_k}, read off the sequence alone
+        rt = [0] * datum.size
+        for i, v in zip(seq.indices(len(x)), x):
+            rt[i] -= v
+        return datum.weight(rt=rt) + shift
 
     return OracleReport(
         missing_in_bfs=sorted(passing - generated),
         missing_in_predicate=sorted(generated - passing),
         char=weight_multiplicities(graph),
-        predicate_char=weight_multiplicities(
-            crystal.wt(crystal.element(xs)) + shift for xs in passing
-        ),
+        predicate_char=weight_multiplicities(map(weight, passing)),
         depth=depth,
     )

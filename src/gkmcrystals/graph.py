@@ -107,19 +107,18 @@ class CrystalGraph:
         return [n.elt for n in self.nodes]
 
     def edges(self):
-        """Yield (from_id, index, to_id) for every known lowering edge."""
+        """Yield (from_id, index, to_id) for every known lowering edge, sorted."""
         for u, node in enumerate(self.nodes):
             for i, v in enumerate(node.f_ids):
                 if v is not None and v is not CUT:
                     yield (u, i, v)
 
     def in_edges(self):
-        """Map node id -> sorted list of (parent_id, index)."""
+        """Map node id -> sorted list of (parent_id, index); ``edges``
+        yields them in that order."""
         incoming = {u: [] for u in range(len(self.nodes))}
         for u, i, v in self.edges():
             incoming[v].append((u, i))
-        for v in incoming:
-            incoming[v].sort()
         return incoming
 
 
@@ -264,7 +263,7 @@ def graph_to_json_dict(graph) -> dict:
         )
     edges = [
         {"from": u, "to": v, "i": names[i]}
-        for (u, i, v) in sorted(graph.edges())
+        for (u, i, v) in graph.edges()
     ]
     return {"root": graph.root, "nodes": nodes, "edges": edges}
 
@@ -281,7 +280,7 @@ def graph_to_dot(graph) -> str:
         label = "[%s]" % ",".join(map(str, node.wt.rt))
         shape = ' shape=box' if node.frontier else ""
         lines.append('  n%d [label="%s"%s];' % (k, label, shape))
-    for u, i, v in sorted(graph.edges()):
+    for u, i, v in graph.edges():
         lines.append('  n%d -> n%d [label="%s"];' % (u, v, graph.datum.index_names[i]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -334,7 +334,8 @@ class TestBadInputsExitTwo:
     @pytest.mark.parametrize("spec", [
         {"kind": "monster", "multiplicities": [2, 1]},
         {"kind": "monster", "level": 2, "multiplicities": [1]},
-    ], ids=["no-level", "wrong-multiplicities"])
+        {"kind": "monster", "level": 2, "multiplicities": [2, 1], "prefix": []},
+    ], ids=["no-level", "wrong-multiplicities", "monster-extra-key"])
     def test_bad_monster_sequence_in_datum_file(self, tmp_path, spec):
         path = tmp_path / "monster.json"
         G.save_datum_file(path, make_toy_monster().datum, sequence_spec=spec)
@@ -351,8 +352,13 @@ class TestBadInputsExitTwo:
         {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
          "sequence": {"kind": "spiral"}},
         {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "sequence": {}},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "cyclic", "prefix": ["2"], "cycle": ["2", "1"]}},
+        {"indices": ["1", "2"], "cartan": [[2, -1], [-1, 0]], "symmetrizers": [1, 1],
+         "sequence": {"kind": "explicit", "prefix": ["2"], "cycle": ["1", "2"], "cylce": ["2"]}},
+        {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "sequence": {"kind": ["cyclic"]}},
     ], ids=["empty", "bad-explicit", "bool-explicit-entry", "wrong-monster", "unknown-kind",
-            "no-kind"])
+            "no-kind", "cyclic-with-explicit-keys", "misspelled-explicit-key", "list-kind"])
     def test_bad_datum_file(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))

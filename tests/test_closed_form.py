@@ -215,6 +215,38 @@ class TestOracleCompare:
         )
         assert report.ok, report.summary()
 
+    @pytest.mark.parametrize("lam", [None, (1, 0), (0, 1)], ids=["binf", "lam-10", "lam-01"])
+    def test_character_does_not_read_the_string_weights(self, monkeypatch, lam):
+        """A weight map in generation that reverses the root coordinates
+        changes the generated character; the oracle sums its own weights,
+        so it reports differing multiplicities over the same string set."""
+        p = G.Rank2Params(1, 2, 2)
+        datum = G.rank2_datum(p)
+        lam = None if lam is None else datum.weight(lam=lam)
+        if lam is None:
+            member = lambda x: G.rank2_member(x, p)
+        else:
+            member = lambda x: G.rank2_highest_weight_member(x, p, datum, lam)
+
+        def compare():
+            return G.compare_predicate_with_bfs(member, datum, G.cyclic_sequence(datum), 5, lam=lam)
+
+        honest = compare()
+        assert honest.ok, honest.summary()
+        wt = G.StringCrystal.wt
+
+        def reversed_wt(self, b):
+            w = wt(self, b)
+            return G.Weight(w.lam, w.rt[::-1])
+
+        monkeypatch.setattr(G.StringCrystal, "wt", reversed_wt)
+        report = compare()
+        assert not report.missing_in_bfs and not report.missing_in_predicate
+        assert report.predicate_char == honest.predicate_char
+        assert report.char != honest.char
+        assert not report.ok
+        assert "multiplicities differ" in report.summary()
+
     def test_report_flags_wrong_predicate(self, d1):
         report = G.compare_predicate_with_bfs(
             lambda x: len(x) <= 1 or x == (0, 0, 1), d1, G.cyclic_sequence(d1), 2

@@ -72,6 +72,42 @@ class TestUniverseGraphs:
             G.graph_from_universe(G.UnitCrystal(d1), [])
 
 
+class TestEdgeOrder:
+    """``edges`` yields edges sorted by (from_id, index), so the exports
+    and ``in_edges`` need not sort them again."""
+
+    def graphs(self, d1, toy_monster):
+        seq = G.cyclic_sequence(d1)
+        binf = G.realize_binfinity(d1, seq, 6)
+        hw = G.realize_highest_weight(d1, seq, d1.weight(lam=[1, 1]), 5)
+        monster = G.realize_binfinity(toy_monster.datum, toy_monster.sequence, 4)
+        universe = G.graph_from_universe(hw.crystal, reversed(hw.elements()))
+        product = G.TensorCrystal(binf.crystal, G.ElementaryCrystal(d1, 1))
+        pairs = G.graph_from_universe(
+            product, [product.element(x, G.ElementaryElement(1, n))
+                      for x in binf.elements()[:40] for n in range(3)])
+        return [binf, hw, monster, universe, pairs]
+
+    def test_edges_sorted(self, d1, toy_monster):
+        for g in self.graphs(d1, toy_monster):
+            edges = list(g.edges())
+            assert len(edges) > len(g) // 2
+            assert edges == sorted(edges)
+            incoming = g.in_edges()
+            assert all(parents == sorted(parents) for parents in incoming.values())
+            assert sorted((u, i, v) for v in incoming for u, i in incoming[v]) == edges
+
+    def test_exports_list_edges_in_order(self, d1, toy_monster):
+        for g in self.graphs(d1, toy_monster):
+            names = g.datum.index_names
+            edges = [(e["from"], names.index(e["i"]), e["to"])
+                     for e in graph_to_json_dict(g)["edges"]]
+            assert edges == sorted(g.edges())
+            dot = [line for line in G.graph_to_dot(g).splitlines() if "->" in line]
+            assert dot == ['  n%d -> n%d [label="%s"];' % (u, v, names[i])
+                           for u, i, v in sorted(g.edges())]
+
+
 class TestSerialization:
     def test_json_schema(self, d2):
         g = G.realize_binfinity(d2, G.cyclic_sequence(d2), 2)

@@ -111,6 +111,23 @@ class TestIndexSequence:
             with pytest.raises(ValueError):
                 G.sequence_from_spec(d1, bad)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "cyclic", "prefix": ["2"], "cycle": ["2", "1"]},
+        {"kind": "cyclic", "level": 2},
+        {"kind": "explicit", "prefix": ["2"], "cycle": ["1", "2"], "cylce": ["2"]},
+        {"kind": "explicit", "cycle": ["1", "2"], "level": 2},
+        {"kind": "monster", "level": 2, "multiplicities": [2, 1], "cycle": [0]},
+    ], ids=["cyclic-with-explicit-keys", "cyclic-with-level", "misspelled-explicit-key",
+            "explicit-with-level", "monster-with-cycle"])
+    def test_spec_rejects_keys_its_kind_does_not_read(self, d1, toy_monster, spec):
+        datum = toy_monster.datum if spec["kind"] == "monster" else d1
+        with pytest.raises(ValueError, match="unknown keys"):
+            G.sequence_from_spec(datum, spec)
+        # the same spec without the stray key builds
+        keys = {"cyclic": {"kind"}, "explicit": {"kind", "prefix", "cycle"},
+                "monster": {"kind", "level", "multiplicities"}}[spec["kind"]]
+        G.sequence_from_spec(datum, {k: v for k, v in spec.items() if k in keys})
+
 
 class TestCanonicalStrings:
     def test_trailing_zeros_stripped(self, d1):
