@@ -248,10 +248,12 @@ class StringCrystal(Crystal):
         return StringElement((), self.seq.seq_id)
 
     def element(self, x) -> StringElement:
-        """The string x with its trailing zeros stripped; the entries
-        must be integers (``operator.index``), so 1.7 or "3" raise."""
+        """The string x with its trailing zeros stripped.  Only int
+        zeros are stripped, so every entry that is not an int
+        (``cartan.is_int``: 1.7, "3", 0.0, False) reaches the validating
+        constructor, trailing or not, and raises TypeError."""
         x = tuple(x)
-        while x and x[-1] == 0:
+        while x and is_int(x[-1]) and x[-1] == 0:
             x = x[:-1]
         return StringElement(x, self.seq.seq_id)
 

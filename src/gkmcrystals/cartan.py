@@ -230,7 +230,7 @@ class BorcherdsCartanDatum:
     symmetrizers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "index_names", tuple(str(s) for s in self.index_names))
+        object.__setattr__(self, "index_names", tuple(self.index_names))
         object.__setattr__(self, "cartan", tuple(tuple(row) for row in self.cartan))
         object.__setattr__(self, "symmetrizers", tuple(self.symmetrizers))
         report = validate_cartan_data(self.cartan, self.symmetrizers)
@@ -240,6 +240,8 @@ class BorcherdsCartanDatum:
             raise DatumShapeError(
                 f"{len(self.index_names)} index names for a {len(self.cartan)}x{len(self.cartan)} matrix"
             )
+        if not all(isinstance(name, str) for name in self.index_names):
+            raise DatumShapeError("index names must be strings")
         if len(set(self.index_names)) != len(self.index_names):
             raise DatumShapeError("index names must be distinct")
 
@@ -265,7 +267,7 @@ class BorcherdsCartanDatum:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.index_names.index(str(name))
+            return self.index_names.index(name)
         except ValueError:
             raise KeyError(f"unknown index name {name!r}") from None
 

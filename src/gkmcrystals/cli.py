@@ -62,7 +62,7 @@ def _dominant_lambda(datum, text):
     if text is None:
         return datum.zero_weight()
     try:
-        coeffs = [int(v) for v in text.split(",")]
+        coeffs = [_integer(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad lambda {text!r}: {exc}") from exc
     if len(coeffs) != datum.size:
@@ -226,7 +226,7 @@ def _oracle_outcome(title, report, out_path) -> int:
 
 def cmd_oracle_rank2(args) -> int:
     try:
-        a, b, c = (int(v) for v in args.abc.split(","))
+        a, b, c = (_integer(v) for v in args.abc.split(","))
         params = Rank2Params(a, b, c)
     except ValueError as exc:
         raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc
@@ -243,7 +243,7 @@ def cmd_oracle_rank2(args) -> int:
 
 def cmd_oracle_monster(args) -> int:
     try:
-        mults = tuple(int(v) for v in args.mult.split(","))
+        mults = tuple(_integer(v) for v in args.mult.split(","))
         params = MonsterParams(args.level, mults)
     except ValueError as exc:
         raise UsageError(f"bad monster parameters: {exc}") from exc
@@ -296,18 +296,27 @@ def cmd_profile(args) -> int:
     return _report_outcome("category profile", [check_category_profile(_generate(args))])
 
 
-def _nonnegative_int(text) -> int:
+def _integer(text, minimum=None) -> int:
+    """The int that ``text`` spells as ASCII digits after an optional
+    "-", and nothing else, at least ``minimum`` when one is given; a
+    ``ValueError`` otherwise.  Every integer the CLI reads goes through
+    here, so "1_0", " 3", "+3" and non-ASCII digits are all refused."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be at least {minimum}, got {value}")
     return value
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _integer_option(minimum=None):
+    """``_integer`` as an argparse type, which reports its message."""
+    def integer(text):
+        try:
+            return _integer(text, minimum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return integer
 
 
 def _command(subs, name, handler, **kwargs):
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     datum = argparse.ArgumentParser(add_help=False)
     datum.add_argument("--datum", required=True, help="datum JSON file")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=_nonnegative_int, required=True, help="depth bound")
+    depth.add_argument("--depth", type=_integer_option(0), required=True, help="depth bound")
     seq = argparse.ArgumentParser(add_help=False)
     seq.add_argument("--seq", default=None,
                      help='cyclic | monster | "explicit:p1,p2;c1,c2"; a "," or ";" '
@@ -339,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write the export or JSON report to this file")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="random seed (default: drawn)")
+    seed.add_argument("--seed", type=_integer_option(), default=None,
+                      help="random seed (default: drawn)")
     mode = argparse.ArgumentParser(add_help=False)
     mode.add_argument("--mode", choices=("binf", "hw"), default="binf", help="B(inf) or B(lambda)")
     generation = [datum, mode, lam, depth, seq]
@@ -356,20 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     checks = p.add_subparsers(dest="subcommand", required=True)
 
     c = _command(checks, "axioms", cmd_axioms, parents=[datum, seed])
-    c.add_argument("--trials", type=_positive_int, default=100)
+    c.add_argument("--trials", type=_integer_option(1), default=100)
 
     c = _command(checks, "assoc", cmd_assoc, parents=[datum, seed])
-    c.add_argument("--trials", type=_positive_int, default=20)
+    c.add_argument("--trials", type=_integer_option(1), default=20)
 
     c = _command(checks, "oracle-rank2", cmd_oracle_rank2, parents=[depth, lam, out])
     c.add_argument("--abc", required=True, help='rank-2 parameters "a,b,c"')
 
     c = _command(checks, "oracle-monster", cmd_oracle_monster, parents=[depth, out])
-    c.add_argument("--level", type=int, required=True)
+    c.add_argument("--level", type=_integer_option(), required=True)
     c.add_argument("--mult", required=True, help='multiplicities "m1,m2,..."')
     weight = c.add_mutually_exclusive_group()
     weight.add_argument("--lambda", dest="lam", default=None, help=lam_help)
-    weight.add_argument("--lambda-real", dest="lam_real", type=_nonnegative_int, default=None,
+    weight.add_argument("--lambda-real", dest="lam_real", type=_integer_option(0), default=None,
                         help="coefficient of the real fundamental weight")
 
     c = _command(checks, "projection", cmd_projection, parents=[datum, depth, seq])

@@ -29,9 +29,9 @@ built without re-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index as _as_int, itemgetter
+from operator import itemgetter
 
-from .cartan import NEG_INF, BorcherdsCartanDatum, Weight
+from .cartan import NEG_INF, BorcherdsCartanDatum, Weight, is_int
 
 
 class Crystal:
@@ -87,6 +87,8 @@ class ElementaryElement:
     steps: int
 
     def __post_init__(self):
+        if not (is_int(self.index) and is_int(self.steps)):
+            raise TypeError("elementary index and steps must be ints, not bools or floats")
         if self.steps < 0:
             raise ValueError("elementary elements live at nonpositive positions")
 
@@ -114,7 +116,9 @@ class StringElement(tuple):
     __slots__ = ()
 
     def __new__(cls, x, seq_id):
-        x = tuple(map(_as_int, x))
+        x = tuple(x)
+        if not all(map(is_int, x)):
+            raise TypeError(f"string entries must be ints, not bools or floats: {x!r}")
         if x and min(x) < 0:
             raise ValueError("string entries must be nonnegative")
         if x and x[-1] == 0:

@@ -22,7 +22,10 @@ b1 ⊗ ... ⊗ bn as the left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn,
 folded by ``bracket_stats`` through ``_pair_stats``, the same pair
 step that ``verify_associativity`` applies to both bracketings of a
 triple.  So the rule above has one implementation, and the change of
-bracketing is an executable fact rather than an assumption.
+bracketing is an executable fact rather than an assumption.  A tree
+only describes the bracketing: an operator target is the tuple of its
+leaf elements, the payload of a ``TensorElement``, whichever
+bracketing produced it.
 """
 
 from __future__ import annotations
@@ -128,28 +131,39 @@ class TensorCrystal(Crystal):
         return wt, eps, phi, tuple(map(self._flat, e)), tuple(map(self._flat, f))
 
     @staticmethod
-    def _flat(tree):
-        """The flat element of a target tree, or None.  Its leaves come
-        from this crystal's own (flattened) factors, so no leaf is a
-        ``TensorElement`` and the validating constructor is skipped."""
-        parts = bracket_leaves(tree)
+    def _flat(parts):
+        """The flat element of a target leaf tuple, or None.  Its leaves
+        come from this crystal's own (flattened) factors, so no leaf is
+        a ``TensorElement`` and the validating constructor is skipped."""
         return None if parts is None else tuple.__new__(TensorElement, (parts,))
 
 
 def bracket_stats(datum, tree):
     """(wt, eps, phi, e targets, f targets) of a tree, the last four
-    indexed by i, targets as trees or None.  A leaf is read through its
-    crystal's five operators; a pair is folded by ``_pair_stats``."""
+    indexed by i, each target a tuple of leaf elements or None.  A leaf
+    is read through its crystal's five operators; a pair is folded by
+    ``_pair_stats``."""
+    return _fold(datum, tree)[1]
+
+
+def _fold(datum, tree):
+    """(leaf tuple, statistics) of a tree."""
     if isinstance(tree, BracketLeaf):
         wt, eps, phi, e, f = Crystal.stats(tree.crystal, tree.elt)
-        leaf = lambda b: None if b is None else BracketLeaf(tree.crystal, b)
-        return wt, eps, phi, tuple(map(leaf, e)), tuple(map(leaf, f))
-    return _pair_stats(datum, tree, bracket_stats(datum, tree.left), bracket_stats(datum, tree.right))
+        leaf = lambda b: None if b is None else (b,)
+        return (tree.elt,), (wt, eps, phi, tuple(map(leaf, e)), tuple(map(leaf, f)))
+    return _pair(datum, _fold(datum, tree.left), _fold(datum, tree.right))
 
 
-def _pair_stats(datum, pair, left_stats, right_stats):
-    """The statistics of ``pair`` from its children's: the rule above,
-    applied once per index.  This is the only code that applies it."""
+def _pair(datum, left, right):
+    """(left ⊗ right, its statistics) from two (leaf tuple, statistics) pairs."""
+    return left[0] + right[0], _pair_stats(datum, left[0], right[0], left[1], right[1])
+
+
+def _pair_stats(datum, left, right, left_stats, right_stats):
+    """The statistics of left ⊗ right, given as leaf tuples, from its
+    children's: the rule above, applied once per index.  This is the
+    only code that applies it."""
     lwt, leps, lphi, lup, ldown = left_stats
     rwt, reps, rphi, rup, rdown = right_stats
     eps, phi, e, f = [], [], [], []
@@ -160,17 +174,17 @@ def _pair_stats(datum, pair, left_stats, right_stats):
         eps.append(max(leps[i], reps[i] - lpair))
         phi.append(max(lphi[i] + rpair, rphi[i]))
         side = raising_side(is_real, a_ii, lphi[i], reps[i])
-        e.append(_replaced(pair, side, lup[i], rup[i]))
-        f.append(_replaced(pair, lowering_side(lphi[i], reps[i]), ldown[i], rdown[i]))
+        e.append(_replaced(side, left, right, lup[i], rup[i]))
+        f.append(_replaced(lowering_side(lphi[i], reps[i]), left, right, ldown[i], rdown[i]))
     return lwt + rwt, tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
-def _replaced(pair, side, left, right):
-    """``pair`` with the picked child replaced by its target, or None."""
-    if side == LEFT and left is not None:
-        return BracketPair(left, pair.right)
-    if side == RIGHT and right is not None:
-        return BracketPair(pair.left, right)
+def _replaced(side, left, right, left_target, right_target):
+    """left + right with the picked side replaced by its target, or None."""
+    if side == LEFT and left_target is not None:
+        return left_target + right
+    if side == RIGHT and right_target is not None:
+        return left + right_target
     return None
 
 
@@ -195,8 +209,6 @@ def bracket_lower(datum, i, tree):
 
 
 def bracket_leaves(tree):
-    if tree is None:
-        return None
     if isinstance(tree, BracketLeaf):
         return (tree.elt,)
     return bracket_leaves(tree.left) + bracket_leaves(tree.right)
@@ -213,8 +225,9 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     """Exhaustively compare the two bracketings over three graphs.
 
     For every element triple and every index, the weights, statistics
-    and both operator actions must agree after flattening.  Exact
-    equality; any mismatch is reported with the offending triple.
+    and both operator actions must agree; targets are leaf tuples, so
+    they compare across bracketings as they are.  Exact equality; any
+    mismatch is reported with the offending triple.
 
     Each element is read once and each inner pair (b1 ⊗ b2), (b2 ⊗ b3)
     is folded once per call; a triple folds only its two roots.
@@ -225,38 +238,21 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     datum = g1.datum
     if g2.datum != datum or g3.datum != datum:
         raise ValueError("graphs must share one datum")
-    laws = ("assoc_eps", "assoc_phi", "assoc_f", "assoc_e")
+    # each law and its column of the statistics (wt, eps, phi, e, f)
+    laws = (("assoc_eps", 1), ("assoc_phi", 2), ("assoc_f", 4), ("assoc_e", 3))
     rep = CheckReport()
-    rows = []
-    for g in (g1, g2, g3):
-        leaves = [BracketLeaf(g.crystal, b) for b in g.elements()]
-        rows.append([(leaf, bracket_stats(datum, leaf)) for leaf in leaves])
-    s1, s2, s3 = rows
+    s1, s2, s3 = ([_fold(datum, BracketLeaf(g.crystal, b)) for b in g.elements()]
+                  for g in (g1, g2, g3))
     s12 = [[_pair(datum, x, y) for y in s2] for x in s1]
     s23 = [[_pair(datum, y, z) for z in s3] for y in s2]
     for j, k, l in product(range(len(s1)), range(len(s2)), range(len(s3))):
-        lhs = _pair(datum, s12[j][k], s3[l])
-        rhs = _pair(datum, s1[j], s23[k][l])
-        (lwt, *lcols), (rwt, *rcols) = (_comparable(stats) for _, stats in (lhs, rhs))
-        triple = (s1[j][0].elt, s2[k][0].elt, s3[l][0].elt)
+        triple, lhs = _pair(datum, s12[j][k], s3[l])
+        _, rhs = _pair(datum, s1[j], s23[k][l])
         rep.checked += 1 + len(laws) * datum.size
-        if lwt != rwt:
-            rep.add(triple, None, "assoc_wt", lwt, rwt)
+        if lhs[0] != rhs[0]:
+            rep.add(triple, None, "assoc_wt", lhs[0], rhs[0])
         for i in datum.indices():
-            for law, lv, rv in zip(laws, lcols, rcols):
-                if lv[i] != rv[i]:
-                    rep.add(triple, i, law, lv[i], rv[i])
+            for law, col in laws:
+                if lhs[col][i] != rhs[col][i]:
+                    rep.add(triple, i, law, lhs[col][i], rhs[col][i])
     return rep
-
-
-def _pair(datum, left, right):
-    """(left ⊗ right, its statistics) from two (tree, statistics) pairs."""
-    pair = BracketPair(left[0], right[0])
-    return pair, _pair_stats(datum, pair, left[1], right[1])
-
-
-def _comparable(stats):
-    """wt, eps, phi, f, e of a tree's statistics, targets flattened
-    across bracketings."""
-    wt, eps, phi, e, f = stats
-    return wt, eps, phi, [bracket_leaves(t) for t in f], [bracket_leaves(t) for t in e]

@@ -19,7 +19,6 @@ from gkmcrystals.checks import CheckReport
 from gkmcrystals.tensor import (
     BracketLeaf,
     BracketPair,
-    bracket_leaves,
     bracket_stats,
     reassociate,
 )
@@ -153,6 +152,7 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
 
 
 def _comparable(datum, tree):
-    """wt, eps, phi, f, e of a tree, targets flattened across bracketings."""
+    """wt, eps, phi, f, e of a tree; targets are leaf tuples, equal
+    across bracketings."""
     wt, eps, phi, e, f = bracket_stats(datum, tree)
-    return wt, eps, phi, [bracket_leaves(t) for t in f], [bracket_leaves(t) for t in e]
+    return wt, eps, phi, f, e

@@ -130,6 +130,9 @@ class TestValidation:
             G.make_datum(("1", "2"), ((2, -1), (0, 0)))
         with pytest.raises(G.DatumShapeError):
             G.make_datum(("1", "1"), ((2, 0), (0, 2)))
+        for names in ((1, 2), ("1", 2), ("1", None), (b"1", "2")):
+            with pytest.raises(G.DatumShapeError):
+                G.make_datum(names, ((2, -1), (-1, 2)))
 
 
 class TestDatum:
@@ -156,6 +159,8 @@ class TestDatum:
         assert d1.index_of("2") == 1
         with pytest.raises(KeyError):
             d1.index_of("3")
+        with pytest.raises(KeyError):
+            d1.index_of(1)
 
     @given(
         l1=st.integers(-30, 30), r1=st.integers(-30, 30),

@@ -38,7 +38,7 @@ VERBS = {
     ("check", "bogus"): ([], []),
 }
 
-BAD_NUMBERS = ["-1", "x", "", "1.5", "0x1", "1e2", " "]
+BAD_NUMBERS = ["-1", "x", "", "1.5", "0x1", "1e2", " ", "1_0", " 3", "+3", "\u0663"]
 
 # flag -> (values that parse, values that do not); "{...}" names a file
 # of the fixture below
@@ -55,7 +55,7 @@ VALUES = {
     "--format": (["json", "dot"], ["xml"]),
     "--out": (["{out}"], ["{missing-dir}", "{dir}"]),
     "--trials": (["1", "2"], ["0", *BAD_NUMBERS]),
-    "--seed": (["1", "7"], ["x"]),
+    "--seed": (["1", "7"], ["x", "1_0", " 3", "+3"]),
     "--abc": (["1,1,0", "1,2,2", "2,1,4"], ["1,1", "a,b,c", "0,0,0", "-1,1,0", "1,1,1"]),
     "--level": (["1", "2"], ["0", *BAD_NUMBERS]),
     "--mult": (["1", "2", "2,1", "1,1", "15", "15,1"], ["0", "x", ""]),
@@ -149,3 +149,38 @@ def test_validate_agrees_with_gen(files, datum):
         gen = exit_code(["gen", "--datum", files[datum], "--depth", "0"])
     assert validate == gen
     assert (validate == 0) == (datum in VALUES["--datum"][0])
+
+
+# one command per integer the CLI reads; "{n}" is the integer's slot
+INTEGER_SLOTS = {
+    "depth": ["gen", "--datum", "{d1}", "--depth", "{n}"],
+    "trials": ["check", "axioms", "--datum", "{d1}", "--trials", "{n}", "--seed", "1"],
+    "seed": ["check", "assoc", "--datum", "{d1}", "--trials", "1", "--seed", "{n}"],
+    "level": ["check", "oracle-monster", "--level", "{n}", "--mult", "1", "--depth", "1"],
+    "lambda-real": ["check", "oracle-monster", "--level", "1", "--mult", "1", "--depth", "1",
+                    "--lambda-real", "{n}"],
+    "mult": ["check", "oracle-monster", "--level", "1", "--mult", "{n}", "--depth", "1"],
+    "abc": ["check", "oracle-rank2", "--abc", "{n},1,0", "--depth", "1"],
+    "lambda": ["gen", "--datum", "{d1}", "--mode", "hw", "--lambda", "{n},0", "--depth", "1"],
+}
+
+
+def slot_exit_code(files, slot, text):
+    argv = [files.get(a, a.replace("{n}", text)) for a in INTEGER_SLOTS[slot]]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return exit_code(argv)
+
+
+@pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
+def test_integer_slots_accept_plain_digits(files, slot):
+    assert slot_exit_code(files, slot, "1") in (0, 1)
+
+
+@pytest.mark.parametrize("text", BAD_NUMBERS)
+@pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
+def test_bad_numbers_exit_two(files, slot, text):
+    """Every integer is read by one rule, -?[0-9]+ with a minimum where
+    the option has one; "-1" is a valid seed."""
+    if slot == "seed" and text == "-1":
+        return
+    assert slot_exit_code(files, slot, text) == 2

@@ -47,6 +47,11 @@ class TestElementary:
         with pytest.raises(ValueError):
             G.ElementaryElement(0, -1)
 
+    @pytest.mark.parametrize("index, steps", [(0, True), (0, 1.5), (True, 0), (0.0, 1)])
+    def test_index_and_steps_are_ints(self, index, steps):
+        with pytest.raises(TypeError):
+            G.ElementaryElement(index, steps)
+
     @given(n=st.integers(0, 40), i=st.integers(0, 1))
     def test_duality(self, n, i):
         d = make_d1()

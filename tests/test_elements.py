@@ -36,15 +36,18 @@ class TestConstructors:
         (("3",), TypeError),
         ((1, None), TypeError),
         (5, TypeError),
+        ((True, 2), TypeError),
+        ((1, False), TypeError),
+        ((1, 0.0), TypeError),
     ], ids=["negative", "negative-inside", "trailing-zero", "lone-zero", "float", "str",
-            "none", "not-iterable"])
+            "none", "not-iterable", "bool", "trailing-bool", "trailing-float"])
     def test_string_rejects(self, x, error):
         with pytest.raises(error):
             StringElement(x, SEQ_ID)
 
-    def test_string_normalizes_entries(self):
-        b = StringElement([1, True, 2], SEQ_ID)
-        assert b.x == (1, 1, 2)
+    def test_string_stores_entries_as_a_tuple(self):
+        b = StringElement([1, 3, 2], SEQ_ID)
+        assert b.x == (1, 3, 2)
         assert type(b.x) is tuple
         assert b.seq_id == SEQ_ID
 
@@ -118,8 +121,9 @@ class TestEquality:
 
 class TestStringCrystalElement:
     def test_non_integer_entries_raise(self, d1):
+        # a bool or a float zero is not an int, so it is not stripped
         crystal = G.StringCrystal(d1, G.cyclic_sequence(d1))
-        for x in ([1.7], ["3"], [1, 2.0, 0]):
+        for x in ([1.7], ["3"], [1, 2.0, 0], [1, 0.0, False], [1, False], [1, 0, 0.0, 0], [True]):
             with pytest.raises(TypeError):
                 crystal.element(x)
 

@@ -6,7 +6,8 @@ crystal-embedding and tensor-decomposition targets, and random products
 of small crystals.  Also ``verify_associativity``, which reads each
 element and inner pair once per call, against the per-triple check it
 replaces: full reports on random factor triples and on a planted
-fault."""
+fault; on sampled triples, both bracketings' ``bracket_stats`` targets
+are the flat recursion's, as leaf tuples."""
 
 import random
 
@@ -15,6 +16,7 @@ import pytest
 import gkmcrystals as G
 from gkmcrystals.fuzzing import random_factor_graph, random_universe_graph
 from gkmcrystals.graph import graph_from_universe
+from gkmcrystals.tensor import BracketLeaf, BracketPair, bracket_stats, reassociate
 
 import tensor_reference as ref
 from conftest import make_d1, make_d2, make_toy_monster
@@ -139,6 +141,25 @@ def test_associativity_random_factor_triples(make_datum):
         shape = TRIPLE_SHAPES[seed % len(TRIPLE_SHAPES)]
         rows, *_ = assert_same_report(*(graphs[n] for n in shape))
         assert rows == []
+        triples = [tuple(rng.choice(graphs[n].elements()) for n in shape) for _ in range(6)]
+        assert_bracketings_give_flat_targets(datum, [graphs[n] for n in shape], triples)
+
+
+def assert_bracketings_give_flat_targets(datum, graphs, triples):
+    """bracket_stats of both bracketings of each triple gives the flat
+    reference's e and f targets, as tuples of leaf elements."""
+    flat = G.TensorCrystal(*(g.crystal for g in graphs))
+    for triple in triples:
+        x, y, z = (BracketLeaf(g.crystal, b) for g, b in zip(graphs, triple))
+        lhs = BracketPair(BracketPair(x, y), z)
+        elt = flat.element(*triple)
+        want = tuple(
+            tuple(None if t is None else t.factors
+                  for t in (getattr(ref, op)(flat, i, elt) for i in datum.indices()))
+            for op in ("e", "f")
+        )
+        for tree in (lhs, reassociate(lhs)):
+            assert bracket_stats(datum, tree)[3:] == want
 
 
 class WrongPhi(G.ElementaryCrystal):
