@@ -265,7 +265,7 @@ class StringCrystal(Crystal):
         rt = tuple(rt)
         w = self._weights.get(rt)
         if w is None:
-            w = self._weights[rt] = Weight((0,) * self.datum.size, rt)
+            w = self._weights[rt] = tuple.__new__(Weight, ((0,) * self.datum.size, rt))
         return w
 
     def _tables(self, n):
@@ -406,11 +406,10 @@ def audit_binfinity_truncation(graph) -> list:
 
 def highest_weight_crystal(datum, seq: IndexSequence, lam: Weight) -> TensorCrystal:
     """(strings) ⊗ t_lam ⊗ c, the carrier of B(lambda) for dominant lam."""
+    shift = ShiftCrystal(datum, lam)  # checks the size of lam before its pairings
     if not datum.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return TensorCrystal(
-        StringCrystal(datum, seq), ShiftCrystal(datum, lam), UnitCrystal(datum)
-    )
+    return TensorCrystal(StringCrystal(datum, seq), shift, UnitCrystal(datum))
 
 
 def highest_weight_root(crystal: TensorCrystal) -> TensorElement:

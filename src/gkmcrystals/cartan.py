@@ -9,6 +9,10 @@ symmetrizers s_i with s_i a_ij = s_j a_ji.
 Weights live in the Z-span of the fundamental weights and the simple
 roots and are kept as a formal coordinate pair; the datum evaluates
 coroot pairings via <h_i, Lambda_j> = delta_ij and <h_i, alpha_j> = a_ij.
+A ``Weight`` is a slotted subclass of the tuple (lam, rt), so it hashes
+and compares in C and equals that plain tuple; nothing in the library
+mixes the two.  Its constructor validates, and its arithmetic builds
+results that are valid by construction without re-validating them.
 
 Crystal statistics eps_i, phi_i take values in Z ∪ {-inf}.  The bottom
 element NEG_INF is a float subclass fixed at -inf: float supplies its
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index as _as_int, mul
+from operator import add, itemgetter, mul, neg, sub
 
 
 class NegInfinity(float):
@@ -73,43 +77,77 @@ def ext_to_json(value):
     return "-inf" if is_neg_inf(value) else value
 
 
-@dataclass(frozen=True)
-class Weight:
+def _size_error(lam, other_lam) -> ValueError:
+    return ValueError(f"weight sizes differ: {len(lam)} and {len(other_lam)}")
+
+
+class Weight(tuple):
     """Integral weight written over the spanning set {Lambda_i} ∪ {alpha_i}.
 
     ``lam`` holds the fundamental-weight coefficients and ``rt`` the
     simple-root coefficients.  The pair is a formal coordinate (never
     reduced); equality is componentwise.  Pairing against a coroot is
     done by the datum, which knows the Cartan integers.
+
+    The tuple (lam, rt), so hashing and equality run in C: a weight
+    equals the plain tuple (lam, rt), and nothing in the library mixes
+    the two.  The constructor validates (ints that are not bools, and
+    parts of equal length); ``+``, ``-``, negation and ``scaled`` build
+    their results, valid by construction, without re-validating.
     """
 
-    lam: tuple
-    rt: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(map(_as_int, self.lam)))
-        object.__setattr__(self, "rt", tuple(map(_as_int, self.rt)))
-        if len(self.lam) != len(self.rt):
+    def __new__(cls, lam, rt):
+        return tuple.__new__(cls, (tuple(lam), tuple(rt)))
+
+    def __init__(self, lam, rt):
+        # validated here, on the stored tuples: __new__ may have
+        # consumed an iterator argument
+        lam, rt = self
+        if not (all(map(is_int, lam)) and all(map(is_int, rt))):
+            raise TypeError(f"weight coordinates must be ints, not bools or floats: {self!r}")
+        if len(lam) != len(rt):
             raise ValueError("lam and rt parts must have equal length")
+
+    lam = property(itemgetter(0))
+    rt = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(lam={self.lam!r}, rt={self.rt!r})"
 
     @classmethod
     def zero(cls, size: int) -> "Weight":
         return cls((0,) * size, (0,) * size)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a + b for a, b in zip(self.lam, other.lam, strict=True)),
-            tuple(a + b for a, b in zip(self.rt, other.rt, strict=True)),
+        (lam, rt), (other_lam, other_rt) = self, other
+        if len(lam) != len(other_lam):
+            raise _size_error(lam, other_lam)
+        return tuple.__new__(
+            Weight, (tuple(map(add, lam, other_lam)), tuple(map(add, rt, other_rt)))
         )
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
+        (lam, rt), (other_lam, other_rt) = self, other
+        if len(lam) != len(other_lam):
+            raise _size_error(lam, other_lam)
+        return tuple.__new__(
+            Weight, (tuple(map(sub, lam, other_lam)), tuple(map(sub, rt, other_rt)))
+        )
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.lam), tuple(-a for a in self.rt))
+        lam, rt = self
+        return tuple.__new__(Weight, (tuple(map(neg, lam)), tuple(map(neg, rt))))
 
     def scaled(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.lam), tuple(k * a for a in self.rt))
+        if not is_int(k):
+            raise TypeError(f"weight scale must be an int, not a bool or float: {k!r}")
+        lam, rt = self
+        return tuple.__new__(Weight, (tuple([k * a for a in lam]), tuple([k * a for a in rt])))
 
     def is_zero(self) -> bool:
         return not any(self.lam) and not any(self.rt)

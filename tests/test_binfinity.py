@@ -82,6 +82,22 @@ class TestRealizeHighestWeight:
                 d1, G.cyclic_sequence(d1), -d1.fundamental(0), 2
             )
 
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_wrong_size_lambda_rejected(self, d1, coords):
+        """The size is checked before the dominance test reads the
+        pairings, so a short lambda is refused like a long one."""
+        lam = G.Weight(coords, (0,) * len(coords))
+        with pytest.raises(ValueError, match="weight size does not match the datum"):
+            G.realize_highest_weight(d1, G.cyclic_sequence(d1), lam, 2)
+
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_decomposition_wrong_size_mu_rejected(self, d1, coords):
+        mu = G.Weight(coords, (0,) * len(coords))
+        seq = G.cyclic_sequence(d1)
+        for lam, mu in ((d1.fundamental(0), mu), (mu, d1.fundamental(0)), (mu, mu)):
+            with pytest.raises(ValueError, match="weight size"):
+                G.tensor_decomposition_embedding(d1, seq, lam, mu, 2)
+
     def test_root_element_shape(self, d1):
         lam = d1.weight(lam=[1, 0])
         g = G.realize_highest_weight(d1, G.cyclic_sequence(d1), lam, 2)

@@ -2,7 +2,9 @@
 once, by the constructor that consumes it.  An integer is an ``int``
 that is not a ``bool``, and nothing is converted: a float, a numeric
 string, a bool or None where an integer belongs raises ValueError.
-Valid inputs build the sequences and parameters they always built."""
+Valid inputs build the sequences and parameters they always built.
+Weight coordinates and scales follow the same integer rule and raise
+TypeError, as string and elementary entries do."""
 
 import pytest
 
@@ -153,3 +155,28 @@ def test_valid_parameters_unchanged():
     assert repr(G.MonsterParams(1, (20,))) == "MonsterParams(level=1, multiplicities=(20,))"
     assert repr(G.Rank2Params(2, 1, 4)) == "Rank2Params(a=2, b=1, c=4)"
     assert G.rank2_datum(G.Rank2Params(2, 4, 2)).cartan == ((2, -2), (-4, -2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: d.weight(lam=[True, 0]),
+    lambda d: d.weight(rt=[0, 2.5]),
+    lambda d: G.Weight((1.0,), (0,)),
+    lambda d: G.Weight((0,), (False,)),
+    lambda d: G.Weight(("1",), (0,)),
+    lambda d: G.Weight((None, 0), (0, 0)),
+    lambda d: d.fundamental(0).scaled(True),
+    lambda d: d.fundamental(0).scaled(2.0),
+], ids=["datum-lam-bool", "datum-rt-float", "lam-float", "rt-bool", "lam-str", "lam-none",
+        "scale-bool", "scale-float"])
+def test_weight_coordinates_follow_the_rule(build):
+    with pytest.raises(TypeError):
+        build(make_d1())
+
+
+def test_valid_weights_unchanged():
+    d = make_d1()
+    w = G.Weight(iter([1, 2]), range(2))
+    assert (w.lam, w.rt) == ((1, 2), (0, 1))
+    assert d.weight(lam=[1, 0]) == G.Weight((1, 0), (0, 0))
+    assert d.weight(lam=[10**400, -3], rt=[0, 1]).lam == (10**400, -3)
+    assert d.fundamental(1).scaled(-2) == G.Weight((0, -2), (0, 0))
