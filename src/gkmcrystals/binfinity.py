@@ -27,15 +27,21 @@ within one full cycle of the sequence.
 
 The sequence is read from a cached index array
 (``IndexSequence.indices``), grown by doubling when a longer string
-arrives.  Next to it each ``StringCrystal`` keeps, per index i, the
-entries <h_i, alpha_{i_k}> along the array and the positions where i
-occurs, rebuilt when the array regrows.  One routine gives all of an
-index's statistics from one C-level prefix-sum pass over a string:
-for a real index, eps_i, phi_i and both maximizing positions at the
-occurrences of i in the support and the first one past it; for an
-imaginary index, the lowering slot (the first occurrence whose prefix
-sum equals the total) and the raising test there.  ``stats`` runs it
-once per index, and eps, phi, e and f each run it for their index.
+arrives.  Next to it each ``StringCrystal`` keeps one plan per index i:
+the entries <h_i, alpha_{i_k}> along the array, the positions where i
+occurs, whether i is real, and a_ii.  It also keeps the longest support
+its plans cover (the array length minus one cycle), so a string is
+checked against them with one comparison; the plans are rebuilt only
+when a longer string arrives.  Plans built for a shorter array stay
+valid after another crystal over the same sequence regrows it, since
+the shorter array is a prefix of the longer one.  One routine,
+``_index_stats``, gives all of an index's statistics from its plan in
+one C-level prefix-sum pass over a string: for a real index, eps_i,
+phi_i and both maximizing positions at the occurrences of i in the
+support and the first one past it; for an imaginary index, the lowering
+slot (the first occurrence whose prefix sum equals the total) and the
+raising test there.  ``stats`` runs it once per index, and eps, phi, e
+and f each run it for their index.
 phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
 so that identity, which ``check_axioms`` verifies, stays a check.
 Each distinct weight is built once per crystal and handed out again.
@@ -241,7 +247,10 @@ class StringCrystal(Crystal):
         if seq.datum != datum:
             raise ValueError("sequence was built for a different datum")
         self.seq = seq
-        self._idx = None  # the index array the tables below were built for
+        self._size = datum.size
+        self._zero_lam = (0,) * datum.size
+        self._plans = None  # per index, the plan _index_stats reads
+        self._reach = -1  # the longest support the plans cover
         self._weights = {}  # root coordinates -> the one Weight built for them
 
     def zero(self) -> StringElement:
@@ -258,82 +267,37 @@ class StringCrystal(Crystal):
         return StringElement(x, self.seq.seq_id)
 
     def wt(self, b) -> Weight:
-        rt = [0] * self.datum.size
+        rt = [0] * self._size
         for ik, v in zip(self.seq.indices(len(b.x)), b.x):
             if v:
                 rt[ik] -= v
         rt = tuple(rt)
         w = self._weights.get(rt)
         if w is None:
-            w = self._weights[rt] = tuple.__new__(Weight, ((0,) * self.datum.size, rt))
+            w = self._weights[rt] = tuple.__new__(Weight, (self._zero_lam, rt))
         return w
 
-    def _tables(self, n):
-        """Per index i, over an index array covering the scan bound of a
-        string of length n: the entries <h_i, alpha_{i_k}> along the
-        array and the positions k where i_k = i.  Rebuilt when the
-        sequence regrows its array."""
-        idx = self.seq.indices(self.seq.scan_bound(n))
-        if idx is not self._idx:
-            self._rows = [list(map(row.__getitem__, idx)) for row in self.datum.cartan]
-            self._occurrences = [[] for _ in self.datum.indices()]
+    def _plans_for(self, n) -> list:
+        """The per-index plans covering strings of length <= n, rebuilt
+        only when a longer string arrives.  Plans built for a shorter
+        index array stay valid when the sequence regrows it, since the
+        shorter array is a prefix of the longer one."""
+        if n > self._reach:
+            seq = self.seq
+            idx = seq.indices(seq.scan_bound(n))
+            occurrences = [[] for _ in range(self._size)]
             for k, ik in enumerate(idx, start=1):
-                self._occurrences[ik].append(k)
-            self._idx = idx
-        return self._rows, self._occurrences
-
-    def _index_stats(self, i, x, tables):
-        """(eps_i, phi_i, position f_i increments, position e_i
-        decrements or 0 when e_i x is zero), read off the prefix sums
-        pre_k = sum_{l<=k} <h_i, alpha_{i_l}> x_l at the occurrences of
-        i in the support and the first one past it."""
-        rows, occurrences = tables
-        pre = list(accumulate(map(mul, rows[i], x), initial=0))
-        total = pre[-1]
-        occ = occurrences[i]
-        inside = bisect_right(occ, len(x))
-        past = occ[inside]  # beyond the support every tail sum is zero
-        is_real, a_ii, _ = self.datum.index_rows[i]
-        if not is_real:
-            # the lowering slot: the first occurrence with vanishing tail
-            # sum; e_i acts there iff x is nonzero there and the tail sum
-            # seen from every earlier occurrence stays below a_ii
-            low = None
-            for k in occ[:inside]:
-                run = pre[k]
-                if run == total:
-                    raisable = x[k - 1] and (low is None or run - low < a_ii)
-                    return 0, -total, k, k if raisable else 0
-                if low is None or run < low:
-                    low = run
-            return 0, -total, past, 0
-        # real: eps_i maximizes x_k + (tail sum after k), phi_i maximizes
-        # -x_k - (prefix sum before k); past the support they read 0 and
-        # -total.  Going down, hi is the largest maximizing position and
-        # lo the smallest.
-        top, lo, hi, phi = 0, past, past, -total
-        for k in reversed(occ[:inside]):
-            xk = x[k - 1]
-            v = xk + total - pre[k]
-            if v > top:
-                top, lo, hi = v, k, k
-            elif v == top:
-                lo = k
-            w = -xk - pre[k - 1]
-            if w > phi:
-                phi = w
-        if top <= 0 or x[hi - 1] == 0:
-            # a zero at hi with top > 0 means the raised factor leaves the
-            # crystal (b_i(+1) is zero); happens only outside the
-            # component of the zero string
-            hi = 0
-        return top, phi, lo, hi
+                occurrences[ik].append(k)
+            self._plans = [(list(map(row.__getitem__, idx)), occ, is_real, a_ii)
+                           for (is_real, a_ii, row), occ in zip(self.datum.index_rows, occurrences)]
+            self._reach = len(idx) - len(seq.cycle)  # scan_bound(n) <= len(idx) iff n <= reach
+        return self._plans
 
     def eps(self, i, b):
-        return self._index_stats(i, b.x, self._tables(len(b.x)))[0]
+        return _index_stats(self._plans_for(len(b.x))[i], b.x)[0]
 
     def phi(self, i, b):
-        return self._index_stats(i, b.x, self._tables(len(b.x)))[1]
+        return _index_stats(self._plans_for(len(b.x))[i], b.x)[1]
 
     def _bump(self, x, k, delta) -> StringElement:
         """x with delta added at position k, zero-padded or stripped of
@@ -352,23 +316,71 @@ class StringCrystal(Crystal):
         return tuple.__new__(StringElement, (y, self.seq.seq_id))
 
     def f(self, i, b):
-        return self._bump(b.x, self._index_stats(i, b.x, self._tables(len(b.x)))[2], +1)
+        return self._bump(b.x, _index_stats(self._plans_for(len(b.x))[i], b.x)[2], +1)
 
     def e(self, i, b):
-        slot = self._index_stats(i, b.x, self._tables(len(b.x)))[3]
+        slot = _index_stats(self._plans_for(len(b.x))[i], b.x)[3]
         return self._bump(b.x, slot, -1) if slot else None
 
     def stats(self, b):
         x = b.x
-        tables = self._tables(len(x))
+        bump = self._bump
         eps, phi, e, f = [], [], [], []
-        for i in self.datum.indices():
-            eps_i, phi_i, lower, upper = self._index_stats(i, x, tables)
+        for plan in self._plans_for(len(x)):
+            eps_i, phi_i, lower, upper = _index_stats(plan, x)
             eps.append(eps_i)
             phi.append(phi_i)
-            e.append(self._bump(x, upper, -1) if upper else None)
-            f.append(self._bump(x, lower, +1))
+            e.append(bump(x, upper, -1) if upper else None)
+            f.append(bump(x, lower, +1))
         return self.wt(b), tuple(eps), tuple(phi), tuple(e), tuple(f)
+
+
+def _index_stats(plan, x):
+    """(eps_i, phi_i, position f_i increments, position e_i decrements
+    or 0 when e_i x is zero) for the index i of ``plan``, read off the
+    prefix sums pre_k = sum_{l<=k} <h_i, alpha_{i_l}> x_l at the
+    occurrences of i in the support and the first one past it.  The
+    plan is (the entries <h_i, alpha_{i_k}> along the index array, the
+    positions k where i_k = i, is_real, a_ii) and covers x."""
+    row, occ, is_real, a_ii = plan
+    pre = list(accumulate(map(mul, row, x), initial=0))
+    total = pre[-1]
+    inside = bisect_right(occ, len(x))
+    past = occ[inside]  # beyond the support every tail sum is zero
+    if not is_real:
+        # the lowering slot: the first occurrence with vanishing tail
+        # sum; e_i acts there iff x is nonzero there and the tail sum
+        # seen from every earlier occurrence stays below a_ii
+        low = None
+        for k in occ[:inside]:
+            run = pre[k]
+            if run == total:
+                raisable = x[k - 1] and (low is None or run - low < a_ii)
+                return 0, -total, k, k if raisable else 0
+            if low is None or run < low:
+                low = run
+        return 0, -total, past, 0
+    # real: eps_i maximizes x_k + (tail sum after k), phi_i maximizes
+    # -x_k - (prefix sum before k); past the support they read 0 and
+    # -total.  Going down, hi is the largest maximizing position and
+    # lo the smallest.
+    top, lo, hi, phi = 0, past, past, -total
+    for k in reversed(occ[:inside]):
+        xk = x[k - 1]
+        v = xk + total - pre[k]
+        if v > top:
+            top, lo, hi = v, k, k
+        elif v == top:
+            lo = k
+        w = -xk - pre[k - 1]
+        if w > phi:
+            phi = w
+    if top <= 0 or x[hi - 1] == 0:
+        # a zero at hi with top > 0 means the raised factor leaves the
+        # crystal (b_i(+1) is zero); happens only outside the
+        # component of the zero string
+        hi = 0
+    return top, phi, lo, hi
 
 
 def realize_binfinity(datum, seq: IndexSequence, depth: int) -> CrystalGraph:

@@ -283,7 +283,7 @@ class BorcherdsCartanDatum:
         if len(set(self.index_names)) != len(self.index_names):
             raise DatumShapeError("index names must be distinct")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.cartan)
 
@@ -310,6 +310,11 @@ class BorcherdsCartanDatum:
             raise KeyError(f"unknown index name {name!r}") from None
 
     def zero_weight(self) -> Weight:
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> Weight:
+        """The one zero Weight of the datum."""
         return Weight.zero(self.size)
 
     def fundamental(self, i: int) -> Weight:

@@ -270,6 +270,8 @@ def sort_key(elt):
     Elements of one crystal always share a type, so the per-type tag
     only matters for mixed containers in tests and diagnostics.
     """
+    if type(elt) is StringElement:  # the common case, tested first
+        return (3, elt.x)
     if isinstance(elt, ElementaryElement):
         return (0, elt.index, elt.steps)
     if isinstance(elt, ShiftElement):

@@ -19,14 +19,21 @@ Two generation modes:
 Raising is expected to stay inside a generated component; a raising
 result outside the node set is recorded in ``closure_failures`` (for a
 component, that indicates an operator bug).
+
+The JSON export is written directly, one format string per node and
+per edge; it is byte-identical to ``json.dumps`` of its payload with
+sorted keys, compact separators and ASCII escapes, and
+``graph_to_json_dict`` is its parse.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-from .cartan import Weight, ext_to_json
+from .cartan import NEG_INF, Weight, ext_to_json
 from .crystals import (
     ElementaryElement,
     ShiftElement,
@@ -128,16 +135,17 @@ def _annotate(graph, u, stats) -> tuple:
     targets."""
     node = graph.nodes[u]
     node.wt, node.eps, node.phi, e_targets, f_targets = stats
-    ids = graph.ids
+    get = graph.ids.get
     e_ids = []
     for i, r in enumerate(e_targets):
         if r is None:
             e_ids.append(None)
-        elif r in ids:
-            e_ids.append(ids[r])
-        else:
-            e_ids.append(CUT)
+            continue
+        v = get(r)
+        if v is None:
+            v = CUT
             graph.closure_failures.append((u, i, r))
+        e_ids.append(v)
     node.e_ids = tuple(e_ids)
     return f_targets
 
@@ -156,13 +164,14 @@ def bfs_component(crystal, root, depth: int) -> CrystalGraph:
         raise ValueError("depth must be nonnegative")
     graph = CrystalGraph(crystal.datum, crystal, depth_bound=depth)
     ids, nodes = graph.ids, graph.nodes
+    stats = crystal.stats
     graph.add_node(root, depth=0)
     layer = [0]
     for d in range(depth + 1):
         found = {}
         pending = []  # (node id, lowering targets) awaiting the next layer's ids
         for u in layer:
-            targets = _annotate(graph, u, crystal.stats(nodes[u].elt))
+            targets = _annotate(graph, u, stats(nodes[u].elt))
             if d == depth:
                 nodes[u].f_ids = tuple(None if r is None else CUT for r in targets)
                 nodes[u].frontier = True
@@ -170,9 +179,12 @@ def bfs_component(crystal, root, depth: int) -> CrystalGraph:
                 pending.append(
                     (u, [r if r is None or r in ids else found.setdefault(r, r) for r in targets])
                 )
+        # the new layer's elements are keys of ``found`` and none is in
+        # ``ids``, so they are appended without the duplicate check
         start = len(nodes)
         for elt in sorted(found, key=sort_key):
-            graph.add_node(elt, depth=d + 1)
+            ids[elt] = len(nodes)
+            nodes.append(NodeRecord(elt, d + 1))
         for u, targets in pending:
             nodes[u].f_ids = tuple(None if r is None else ids[r] for r in targets)
         layer = range(start, len(nodes))
@@ -246,30 +258,42 @@ def element_token(elt, datum) -> str:
     return repr(elt)
 
 
-def graph_to_json_dict(graph) -> dict:
-    datum = graph.datum
-    names = datum.index_names
-    nodes = []
-    for k, node in enumerate(graph.nodes):
-        nodes.append(
-            {
-                "id": k,
-                "elt": element_token(node.elt, datum),
-                "wt": {"lam": list(node.wt.lam), "rt": list(node.wt.rt)},
-                "eps": {names[i]: ext_to_json(node.eps[i]) for i in range(datum.size)},
-                "phi": {names[i]: ext_to_json(node.phi[i]) for i in range(datum.size)},
-                "frontier": node.frontier,
-            }
-        )
-    edges = [
-        {"from": u, "to": v, "i": names[i]}
-        for (u, i, v) in graph.edges()
-    ]
-    return {"root": graph.root, "nodes": nodes, "edges": edges}
-
-
 def graph_to_json(graph) -> str:
-    return json.dumps(graph_to_json_dict(graph), sort_keys=True, separators=(",", ":")) + "\n"
+    """The JSON export, written directly: byte-identical to ``json.dumps``
+    of the payload with sorted keys, compact separators and ASCII
+    escapes (the escaper ``json.dumps`` uses), -inf written as "-inf"."""
+    datum = graph.datum
+    names = [encode_basestring_ascii(name) for name in datum.index_names]
+    order = sorted(datum.indices(), key=datum.index_names.__getitem__)
+    pick = itemgetter(*order)
+    ints = ",".join("%s:%%d" % names[i].replace("%", "%%") for i in order)
+
+    def ext_map(values):
+        if NEG_INF in values:  # rare: leave -inf to ext_to_json
+            return ",".join("%s:%s" % (names[i], json.dumps(ext_to_json(values[i]))) for i in order)
+        return ints % pick(values)
+
+    parts = []
+    for k, node in enumerate(graph.nodes):
+        parts.append(
+            '{"elt":%s,"eps":{%s},"frontier":%s,"id":%d,"phi":{%s},"wt":{"lam":[%s],"rt":[%s]}}' % (
+                encode_basestring_ascii(element_token(node.elt, datum)),
+                ext_map(node.eps),
+                "true" if node.frontier else "false",
+                k,
+                ext_map(node.phi),
+                ",".join(map(str, node.wt.lam)),
+                ",".join(map(str, node.wt.rt)),
+            )
+        )
+    nodes = ",".join(parts)
+    edges = ",".join('{"from":%d,"i":%s,"to":%d}' % (u, names[i], v) for u, i, v in graph.edges())
+    return '{"edges":[%s],"nodes":[%s],"root":%d}\n' % (edges, nodes, graph.root)
+
+
+def graph_to_json_dict(graph) -> dict:
+    """The JSON export's payload: the parse of :func:`graph_to_json`."""
+    return json.loads(graph_to_json(graph))
 
 
 def graph_to_dot(graph) -> str:

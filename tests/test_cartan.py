@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,22 @@ class TestDatum:
             d1.index_of("3")
         with pytest.raises(KeyError):
             d1.index_of(1)
+
+    def test_zero_weight_built_once(self, d1, toy_monster):
+        for d in (d1, toy_monster.datum, G.make_datum(["1"], [[0]])):
+            assert d.zero_weight() is d.zero_weight()
+            assert d.zero_weight() == Weight.zero(d.size)
+            assert d.zero_weight().is_zero()
+
+    def test_size_equality_and_hash_survive_copies(self, d1, toy_monster):
+        for d in (d1, toy_monster.datum):
+            size, digest = d.size, hash(d)  # size is cached from here on
+            fresh = G.make_datum(d.index_names, d.cartan, d.symmetrizers)
+            for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert twin.size == size == len(twin.cartan)
+                assert twin == d == fresh
+                assert hash(twin) == digest == hash(fresh)
+                assert twin.zero_weight() == d.zero_weight()
 
     @given(
         l1=st.integers(-30, 30), r1=st.integers(-30, 30),

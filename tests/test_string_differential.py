@@ -160,6 +160,29 @@ def test_tables_follow_a_regrown_index_array(make):
     assert disagreements(other, strings) == []
 
 
+def test_plans_survive_a_regrowth_by_another_crystal():
+    """Two crystals share one Monster block sequence, which has a prefix.
+    One regrows the index array past the plans of the other; the other's
+    plans, built for the shorter array, still serve every string they
+    cover, the longest ones included, and a longer string makes it
+    build new ones."""
+    datum, seq = monster(2, (2, 1))
+    assert seq.prefix
+    grower, keeper = G.StringCrystal(datum, seq), G.StringCrystal(datum, seq)
+    keeper.stats(keeper.zero())
+    short = len(seq.indices(0))
+    reach = short - len(seq.cycle)  # the longest support the keeper's plans cover
+    edge = [keeper.element((0,) * (n - 2) + tail)
+            for n in (reach - 1, reach, reach + 1, reach + 2)
+            for tail in product(range(3), repeat=2)]
+    long = [grower.element((1,) + (0,) * (2 * short) + tail)
+            for tail in product(range(3), repeat=2)]
+    assert disagreements(grower, long) == []
+    assert len(seq.indices(0)) > 2 * short
+    assert disagreements(keeper, edge) == []
+    assert disagreements(keeper, long) == []
+
+
 @pytest.mark.parametrize("make", [
     lambda: cyclic_rank2(2, 1, 4),
     explicit_with_prefix,
