@@ -54,10 +54,10 @@ equal elements, and strings over different sequences are never equal.
 The connected component of the zero string realizes B(infinity); the
 component of (zero string) ⊗ t_lambda ⊗ c realizes the highest-weight
 crystal B(lambda).  Both realizations are audited at generation time,
-and the morphism witnesses of this module (highest-weight projection,
-embedding into the product with an elementary crystal, splitting of a
-sum of highest weights) are rebuilt by path transport and re-checked
-edge by edge rather than assumed.
+by one audit that reads weights relative to the root, and the morphism
+witnesses of this module (highest-weight projection, embedding into the
+product with an elementary crystal, splitting of a sum of highest
+weights) are rebuilt by path transport and re-checked edge by edge.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import gt, mul
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int
 from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
@@ -384,15 +384,13 @@ def _index_stats(plan, x):
 
 
 def realize_binfinity(datum, seq: IndexSequence, depth: int) -> CrystalGraph:
-    """Component of the zero string, audited.
-
-    The audit enforces, on the truncation: raising stays inside the
-    component, all weights lie in -Q+, the root is the unique node of
-    weight zero, and every other node admits some nonzero raising.
-    Failure raises AuditError -- it indicates an operator bug.
-    """
+    """Component of the zero string, audited."""
     crystal = StringCrystal(datum, seq)
-    graph = bfs_component(crystal, crystal.zero(), depth)
+    return _audited(bfs_component(crystal, crystal.zero(), depth))
+
+
+def _audited(graph) -> CrystalGraph:
+    """The graph, or an AuditError if its audit finds problems (an operator bug)."""
     problems = audit_binfinity_truncation(graph)
     if problems:
         raise AuditError("; ".join(problems))
@@ -400,19 +398,26 @@ def realize_binfinity(datum, seq: IndexSequence, depth: int) -> CrystalGraph:
 
 
 def audit_binfinity_truncation(graph) -> list:
+    """Problems of a realization's truncation, [] if none.  With top the root's
+    weight (0 in B(infinity), lambda in B(lambda)): raising stays inside the
+    component, all weights lie in top - Q+, the root is the only node of weight
+    top, and every other node can be raised.  Weights print relative to top."""
     problems = []
     if graph.closure_failures:
         problems.append(f"raising escapes the component: {graph.closure_failures[:3]}")
-    zero_nodes = []
+    root, size = graph.root, graph.datum.size
+    top_lam, top_rt = top = graph.nodes[root].wt
+    tops = []
     for u, node in enumerate(graph.nodes):
-        if any(node.wt.lam) or any(v > 0 for v in node.wt.rt):
-            problems.append(f"node {u} has weight outside -Q+: {node.wt}")
-        if node.wt.is_zero():
-            zero_nodes.append(u)
-        if u != graph.root and all(w is None for w in node.e_ids):
+        w = node.wt
+        if w == top:
+            tops.append(u)
+        elif w.lam != top_lam or any(map(gt, w.rt, top_rt)):
+            problems.append(f"node {u} has weight outside -Q+: {w - top}")
+        if node.e_ids.count(None) == size and u != root:
             problems.append(f"non-root node {u} admits no raising")
-    if zero_nodes != [graph.root]:
-        problems.append(f"weight-zero nodes {zero_nodes}, expected exactly the root")
+    if tops != [root]:
+        problems.append(f"weight-zero nodes {tops}, expected exactly the root")
     return problems
 
 
@@ -430,12 +435,9 @@ def highest_weight_root(crystal: TensorCrystal) -> TensorElement:
 
 
 def realize_highest_weight(datum, seq: IndexSequence, lam: Weight, depth: int) -> CrystalGraph:
-    """Component of (zero string) ⊗ t_lam ⊗ c for dominant lam."""
+    """Component of (zero string) ⊗ t_lam ⊗ c for dominant lam, audited."""
     crystal = highest_weight_crystal(datum, seq, lam)
-    graph = bfs_component(crystal, highest_weight_root(crystal), depth)
-    if graph.closure_failures:
-        raise AuditError(f"raising escapes the component: {graph.closure_failures[:3]}")
-    return graph
+    return _audited(bfs_component(crystal, highest_weight_root(crystal), depth))
 
 
 @dataclass

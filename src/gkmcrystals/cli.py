@@ -16,6 +16,7 @@ randomized checks print the seed they ran with.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -326,6 +327,7 @@ def _command(subs, name, handler, **kwargs):
     return parser
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkmc",

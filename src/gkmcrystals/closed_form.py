@@ -179,9 +179,7 @@ class MonsterModel:
     def __init__(self, params: MonsterParams):
         self.params = params
         self.datum = monster_datum(params)
-        self.sequence = monster_block_sequence(
-            self.datum, params.level, params.multiplicities
-        )
+        self.sequence = monster_block_sequence(self.datum, params.level, params.multiplicities)
         self._tables = None
 
     def real_position(self, n: int) -> int:

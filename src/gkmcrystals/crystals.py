@@ -270,7 +270,7 @@ def sort_key(elt):
     Elements of one crystal always share a type, so the per-type tag
     only matters for mixed containers in tests and diagnostics.
     """
-    if type(elt) is StringElement:  # the common case, tested first
+    if isinstance(elt, StringElement):  # the common case, tested first
         return (3, elt.x)
     if isinstance(elt, ElementaryElement):
         return (0, elt.index, elt.steps)
@@ -278,8 +278,6 @@ def sort_key(elt):
         return (1, elt.weight.lam, elt.weight.rt)
     if isinstance(elt, UnitElement):
         return (2,)
-    if isinstance(elt, StringElement):
-        return (3, elt.x)
     if isinstance(elt, TensorElement):
         return (4, tuple(sort_key(f) for f in elt.factors))
     raise TypeError(f"not a crystal element: {elt!r}")

@@ -22,6 +22,7 @@ import pytest
 
 import gkmcrystals as G
 from gkmcrystals.cli import main
+from gkmcrystals.cli import build_parser
 
 from conftest import make_d1, make_d2, make_huge, make_toy_monster
 
@@ -152,6 +153,19 @@ def test_every_case_is_pinned(golden):
 def test_case(name, golden, tmp_path):
     files = write_datum_files(tmp_path)
     assert run_case(CASES[name], files, tmp_path) == golden[name]
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_rejected_argv_leaves_the_shared_parser_intact(golden, tmp_path):
+    # argparse refuses "--depth x" with exit 2; the next call reuses the
+    # same parser and must still give the golden output
+    files = write_datum_files(tmp_path)
+    rejected = run_case(["gen", "--datum", "{d1}", "--depth", "x"], files, tmp_path)
+    assert rejected == {"exit": 2, "stdout": ""}
+    assert run_case(CASES["gen-binf-json"], files, tmp_path) == golden["gen-binf-json"]
 
 
 if __name__ == "__main__":
