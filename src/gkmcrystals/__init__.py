@@ -35,7 +35,6 @@ from .crystals import (
 )
 from .tensor import (
     TensorCrystal,
-    reassociate,
     verify_associativity,
 )
 from .graph import (

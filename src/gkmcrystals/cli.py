@@ -8,7 +8,8 @@
     gkmc check {axioms|assoc|oracle-rank2|oracle-monster|projection|embedding|profile} ...
 
 Exit codes: 0 success, 1 verification failure (a bundle that made no
-check counts as one), 2 usage or parse error.
+check counts as one, and so does a failed generation audit), 2 usage or
+parse error.
 Generation output is byte-identical across runs for identical options;
 randomized checks print the seed they ran with.
 """
@@ -33,6 +34,7 @@ from .closed_form import (
     rank2_member,
 )
 from .binfinity import (
+    AuditError,
     MonsterParams,
     crystal_embedding,
     cyclic_sequence,
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
         return USAGE
     except DatumConditionError as exc:
         print(f"invalid datum: {exc}", file=sys.stderr)
+        return FAIL
+    except AuditError as exc:
+        print(f"audit failed: {exc}", file=sys.stderr)
         return FAIL
 
 

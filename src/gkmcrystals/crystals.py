@@ -177,6 +177,8 @@ class ElementaryCrystal(Crystal):
 
     def __init__(self, datum, index: int):
         super().__init__(datum)
+        if not is_int(index):
+            raise TypeError("elementary index and steps must be ints, not bools or floats")
         if not 0 <= index < datum.size:
             raise ValueError(f"index {index} out of range")
         self.index = index

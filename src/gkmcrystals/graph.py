@@ -298,14 +298,15 @@ def graph_to_json_dict(graph) -> dict:
 
 def graph_to_dot(graph) -> str:
     """DOT export: nodes labeled by the root-coefficient vector of wt,
-    edges labeled by the index name."""
+    edges labeled by the index name, quoted and escaped as a JSON string."""
     lines = ["digraph crystal {"]
+    labels = [json.dumps(name, ensure_ascii=False) for name in graph.datum.index_names]
     for k, node in enumerate(graph.nodes):
         label = "[%s]" % ",".join(map(str, node.wt.rt))
         shape = ' shape=box' if node.frontier else ""
         lines.append('  n%d [label="%s"%s];' % (k, label, shape))
     for u, i, v in graph.edges():
-        lines.append('  n%d -> n%d [label="%s"];' % (u, v, graph.datum.index_names[i]))
+        lines.append('  n%d -> n%d [label=%s];' % (u, v, labels[i]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,4 @@
-"""The benchmark's own self-test, run as CI runs it.
+"""The benchmark's own self-test, run by tier-1 and so by every CI run.
 
 ``gkmcbench/tracer.py`` patches library functions and methods by name
 (``bracket_wt``, ``reassociate``, the class-level ``StringCrystal`` and

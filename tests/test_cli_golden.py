@@ -3,13 +3,15 @@
 ``cli_golden.json`` holds the expected output of every case below: the
 ``gen`` exports (JSON and DOT), ``char``, ``validate`` and every
 ``check`` bundle, including failing and rejected runs.  Argument tokens
-``{d1}``, ``{d2}``, ``{monster}``, ``{real}`` and ``{huge}`` (an entry of
--10**400, beyond the float range) name datum files written by
-``write_datum_files``, and ``{broken}``, ``{extra}``, ``{shape}`` and
-``{violation}`` files it writes that ``validate`` rejects; ``{out}`` names an output file in the same
-directory.  A change to argument handling or dispatch that moves one
-byte of output fails here.  For an intended change of output, rewrite
-the file with ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
+``{d1}``, ``{d2}``, ``{monster}``, ``{toy}`` (its datum alone), ``{wide}``,
+``{names}``, ``{real}`` and ``{huge}`` (an entry of -10**400, beyond the
+float range) name datum files written by ``write_datum_files``, and
+``{broken}``, ``{extra}``, ``{shape}``, ``{empty}``, ``{seq-float}`` and
+``{violation}`` files it writes that ``validate`` rejects; ``{out}`` names
+an output file in the same directory.  A change to argument handling or
+dispatch that moves one byte of output fails here.  For an intended
+change of output, rewrite the file with
+``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
 """
 
 import contextlib
@@ -90,13 +92,41 @@ CASES = {
     "huge-check-projection": [
         "check", "projection", "--datum", "{huge}", "--lambda", "1,0", "--depth", "3",
     ],
+    "huge-gen-hw": ["gen", "--datum", "{huge}", "--mode", "hw", "--lambda", "1,0", "--depth", "3"],
+    "huge-char-hw": ["char", "--datum", "{huge}", "--mode", "hw", "--lambda", "1,0", "--depth", "3"],
+    "gen-names-json": ["gen", "--datum", "{names}", "--depth", "3", "--format", "json"],
+    "gen-seq-cyclic": ["gen", "--datum", "{d1}", "--depth", "3", "--seq", "cyclic"],
+    "gen-seq-explicit": ["gen", "--datum", "{d1}", "--depth", "3", "--seq", "explicit:;1,2"],
+    "gen-toy-explicit": [
+        "gen", "--datum", "{toy}", "--depth", "2", "--seq", "explicit:;(-1,1),(1,1),(1,2),(2,1)",
+    ],
+    "gen-toy-hw": ["gen", "--datum", "{toy}", "--mode", "hw", "--lambda", "1,0,0,0", "--depth", "3"],
+    "gen-monster-hw-imaginary": [
+        "gen", "--datum", "{monster}", "--seq", "monster", "--mode", "hw", "--lambda", "1,1,0,0",
+        "--depth", "4",
+    ],
+    "check-embedding-d1": ["check", "embedding", "--datum", "{d1}", "--depth", "3"],
+    "check-assoc-d1": ["check", "assoc", "--datum", "{d1}", "--trials", "2", "--seed", "1"],
+    "check-assoc-toy": ["check", "assoc", "--datum", "{toy}", "--trials", "2", "--seed", "1"],
+    "check-assoc-wide": ["check", "assoc", "--datum", "{wide}", "--trials", "1", "--seed", "1"],
+    "check-oracle-rank2-depth7": [
+        "check", "oracle-rank2", "--abc", "1,2,2", "--depth", "7", "--out", "{out}",
+    ],
+    "check-oracle-monster-11": [
+        "check", "oracle-monster", "--level", "2", "--mult", "1,1", "--depth", "3",
+        "--lambda-real", "1",
+    ],
+    "check-axioms-empty": ["check", "axioms", "--datum", "{empty}", "--trials", "1"],
+    "check-embedding-empty": ["check", "embedding", "--datum", "{empty}", "--depth", "1"],
+    "validate-seq-float": ["validate", "--datum", "{seq-float}"],
+    "gen-seq-float": ["gen", "--datum", "{seq-float}", "--depth", "1"],
 }
 
 
 def write_datum_files(directory) -> dict:
     files = {
         name: os.path.join(directory, f"{name}.json")
-        for name in ("d1", "d2", "monster", "real", "huge")
+        for name in ("d1", "d2", "monster", "toy", "wide", "names", "real", "huge", "seq-float")
     }
     G.save_datum_file(files["d1"], make_d1())
     G.save_datum_file(files["d2"], make_d2())
@@ -104,13 +134,19 @@ def write_datum_files(directory) -> dict:
         files["monster"], make_toy_monster().datum,
         sequence_spec={"kind": "monster", "level": 2, "multiplicities": [2, 1]},
     )
+    G.save_datum_file(files["toy"], make_toy_monster().datum)
+    G.save_datum_file(files["wide"], G.MonsterModel(G.MonsterParams(1, (20,))).datum)
+    G.save_datum_file(files["names"], G.make_datum(["α", 'b"2'], [[2, -1], [-1, 0]]))
     G.save_datum_file(files["real"], G.make_datum(["a", "b"], [[2, -1], [-1, 2]]))
     G.save_datum_file(files["huge"], make_huge())
+    G.save_datum_file(files["seq-float"], make_d1(),
+                      sequence_spec={"kind": "explicit", "prefix": [], "cycle": [0, 1.0]})
     bad = {
         "broken": '{"indices": ["1"], "cartan": [[2]]',
         "extra": {"indices": ["1"], "cartan": [[2]], "symmetrizers": [1], "foo": 0},
         "shape": {"indices": ["1", "2"], "cartan": [[2, -1]], "symmetrizers": [1, 1]},
         "violation": {"indices": ["1", "2"], "cartan": [[-1, 1], [0, 2]], "symmetrizers": [1, 1]},
+        "empty": {"indices": [], "cartan": [], "symmetrizers": []},
     }
     for name, payload in bad.items():
         files[name] = os.path.join(directory, f"{name}.json")
@@ -153,6 +189,15 @@ def test_every_case_is_pinned(golden):
 def test_case(name, golden, tmp_path):
     files = write_datum_files(tmp_path)
     assert run_case(CASES[name], files, tmp_path) == golden[name]
+
+
+def test_pinned_facts(golden):
+    """The export over escaped names parses; the largest oracle box (245,157
+    strings) reports no one-sided strings; two spellings export one crystal."""
+    assert json.loads(golden["gen-names-json"]["stdout"])["edges"]
+    report = json.loads(golden["check-oracle-rank2-depth7"]["out"])
+    assert report["missing_in_bfs"] == report["missing_in_predicate"] == []
+    assert golden["gen-seq-cyclic"] == golden["gen-seq-explicit"]
 
 
 def test_the_parser_is_built_once():

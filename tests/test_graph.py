@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,15 @@ class TestSerialization:
         assert 'n0 [label="[0]"]' in dot
         assert 'n1 [label="[-1]"]' in dot
         assert 'n0 -> n1 [label="1"];' in dot
+
+    def test_dot_edge_labels_are_escaped(self):
+        names = ["α", 'b"2', "a\\b"]
+        d = G.make_datum(names, [[2, -1, 0], [-1, 0, 0], [0, 0, 2]])
+        g = G.realize_binfinity(d, G.cyclic_sequence(d), 2)
+        edge = re.compile(r'  n\d+ -> n\d+ \[label="((?:[^"\\]|\\.)*)"\];')
+        lines = [line for line in G.graph_to_dot(g).splitlines() if "->" in line]
+        labels = [json.loads('"%s"' % edge.fullmatch(line).group(1)) for line in lines]
+        assert labels == [names[i] for _, i, _ in g.edges()]
 
     def test_element_tokens(self, d1):
         seq = G.cyclic_sequence(d1)

@@ -104,6 +104,14 @@ def test_out_of_range_entry_rejected(entry):
         G.IndexSequence(make_d1(), [], [0, 1, entry])
 
 
+@pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+def test_elementary_crystal_index_is_an_int(index):
+    with pytest.raises(TypeError):
+        G.ElementaryCrystal(make_d1(), index)
+    with pytest.raises(ValueError):
+        G.ElementaryCrystal(make_d1(), 2)
+
+
 def test_is_int():
     assert all(map(is_int, (0, -3, 10**400)))
     assert not any(map(is_int, (True, False, 1.0, "1", None, 2.5)))
