@@ -40,8 +40,9 @@ one C-level prefix-sum pass over a string: for a real index, eps_i,
 phi_i and both maximizing positions at the occurrences of i in the
 support and the first one past it; for an imaginary index, the lowering
 slot (the first occurrence whose prefix sum equals the total) and the
-raising test there.  ``stats`` runs it once per index, and eps, phi, e
-and f each run it for their index.
+raising test there.  ``stats`` runs it once per index; eps, phi, e and
+f share its runs over the last string they read (held by identity), so
+a product leaf read through them costs one run per index, not four.
 phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
 so that identity, which ``check_axioms`` verifies, stays a check.
 Each distinct weight is built once per crystal and handed out again.
@@ -252,6 +253,7 @@ class StringCrystal(Crystal):
         self._plans = None  # per index, the plan _index_stats reads
         self._reach = -1  # the longest support the plans cover
         self._weights = {}  # root coordinates -> the one Weight built for them
+        self._scanned = (None, None)  # the last x eps/phi/e/f read, each index's stats
 
     def zero(self) -> StringElement:
         return StringElement((), self.seq.seq_id)
@@ -293,11 +295,18 @@ class StringCrystal(Crystal):
             self._reach = len(idx) - len(seq.cycle)  # scan_bound(n) <= len(idx) iff n <= reach
         return self._plans
 
+    def _scan(self, x) -> list:
+        """Every index's ``_index_stats`` of x, kept for the next call.
+        The entry holds x itself, so its identity cannot be reused."""
+        if self._scanned[0] is not x:
+            self._scanned = x, [_index_stats(plan, x) for plan in self._plans_for(len(x))]
+        return self._scanned[1]
+
     def eps(self, i, b):
-        return _index_stats(self._plans_for(len(b.x))[i], b.x)[0]
+        return self._scan(b.x)[i][0]
 
     def phi(self, i, b):
-        return _index_stats(self._plans_for(len(b.x))[i], b.x)[1]
+        return self._scan(b.x)[i][1]
 
     def _bump(self, x, k, delta) -> StringElement:
         """x with delta added at position k, zero-padded or stripped of
@@ -316,10 +325,10 @@ class StringCrystal(Crystal):
         return tuple.__new__(StringElement, (y, self.seq.seq_id))
 
     def f(self, i, b):
-        return self._bump(b.x, _index_stats(self._plans_for(len(b.x))[i], b.x)[2], +1)
+        return self._bump(b.x, self._scan(b.x)[i][2], +1)
 
     def e(self, i, b):
-        slot = _index_stats(self._plans_for(len(b.x))[i], b.x)[3]
+        slot = self._scan(b.x)[i][3]
         return self._bump(b.x, slot, -1) if slot else None
 
     def stats(self, b):

@@ -29,6 +29,7 @@ built without re-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from .cartan import NEG_INF, BorcherdsCartanDatum, Weight, is_int
@@ -64,18 +65,19 @@ class Crystal:
         """All statistics of b at once: (wt, eps, phi, e targets,
         f targets), the last four as tuples indexed by i.
 
-        This default calls the five operators; a crystal whose operators
-        share work, such as ``StringCrystal``, overrides it to do that
-        work once per node.  Graph generation reads every node through
-        this method.
+        This default maps the five operators over the indices; every
+        product leaf is read through it (``TensorCrystal`` folds leaves
+        without a tree, keeping each factor's last leaf read, and
+        ``StringCrystal``'s operators share one scan per string).  Graph
+        generation reads every node through this method.
         """
-        indices = self.datum.indices()
+        indices, bs = self.datum.indices(), repeat(b)
         return (
             self.wt(b),
-            tuple(self.eps(i, b) for i in indices),
-            tuple(self.phi(i, b) for i in indices),
-            tuple(self.e(i, b) for i in indices),
-            tuple(self.f(i, b) for i in indices),
+            tuple(map(self.eps, indices, bs)),
+            tuple(map(self.phi, indices, bs)),
+            tuple(map(self.e, indices, bs)),
+            tuple(map(self.f, indices, bs)),
         )
 
 

@@ -18,14 +18,17 @@ the result is the crystal zero:
                      right iff phi_i(b) <= eps_i(b')
 
 ``TensorCrystal`` stores n-ary products flat and evaluates an element
-b1 ⊗ ... ⊗ bn as the left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn,
-folded by ``bracket_stats`` through ``_pair_stats``, the same pair
-step that ``verify_associativity`` applies to both bracketings of a
+b1 ⊗ ... ⊗ bn in the left-nested bracketing ((b1 ⊗ b2) ⊗ ...) ⊗ bn:
+its ``stats`` folds the leaves left to right through ``_pair_stats``,
+the same pair step that ``bracket_stats`` folds an explicit tree with
+and that ``verify_associativity`` applies to both bracketings of a
 triple.  So the rule above has one implementation, and the change of
 bracketing is an executable fact rather than an assumption.  A tree
 only describes the bracketing: an operator target is the tuple of its
 leaf elements, the payload of a ``TensorElement``, whichever
-bracketing produced it.
+bracketing produced it.  A leaf is read through its crystal's five
+operators, and each factor keeps its last leaf read with its
+statistics, so B(lambda)'s constant t_lambda and c leaves are read once.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ class TensorCrystal(Crystal):
                 raise ValueError("all factors must share one Borcherds-Cartan datum")
         super().__init__(datum)
         self.factors = tuple(flat)
+        # per factor, the last (leaf tuple, statistics) read; never equal to a leaf
+        self._last = [((None,), None)] * len(flat)
 
     def element(self, *parts) -> TensorElement:
         flat = []
@@ -126,8 +131,20 @@ class TensorCrystal(Crystal):
         return self._flat(bracket_raise(self.datum, i, self._tree(b)))
 
     def stats(self, b):
-        """One evaluation of b's tree gives all its statistics."""
-        wt, eps, phi, e, f = bracket_stats(self.datum, self._tree(b))
+        """All of b's statistics from one left-to-right fold of its
+        leaves through ``_pair``, the evaluation of ``_tree(b)`` without
+        building it.  Each factor keeps its last leaf read, so a run of
+        equal leaves in one factor is read once."""
+        parts = b.factors
+        if len(parts) != len(self.factors):
+            raise ValueError("element does not belong to this tensor crystal")
+        datum, last, acc = self.datum, self._last, None
+        for k, crystal, elt in zip(range(len(parts)), self.factors, parts):
+            read = last[k]
+            if read[0][0] is not elt and read[0][0] != elt:
+                read = last[k] = _leaf(crystal, elt)
+            acc = read if acc is None else _pair(datum, acc, read)
+        wt, eps, phi, e, f = acc[1]
         return wt, eps, phi, tuple(map(self._flat, e)), tuple(map(self._flat, f))
 
     @staticmethod
@@ -149,10 +166,16 @@ def bracket_stats(datum, tree):
 def _fold(datum, tree):
     """(leaf tuple, statistics) of a tree."""
     if isinstance(tree, BracketLeaf):
-        wt, eps, phi, e, f = Crystal.stats(tree.crystal, tree.elt)
-        leaf = lambda b: None if b is None else (b,)
-        return (tree.elt,), (wt, eps, phi, tuple(map(leaf, e)), tuple(map(leaf, f)))
+        return _leaf(tree.crystal, tree.elt)
     return _pair(datum, _fold(datum, tree.left), _fold(datum, tree.right))
+
+
+def _leaf(crystal, elt):
+    """(leaf tuple, statistics) of one factor's element, read through
+    its crystal's five operators; targets become one-leaf tuples."""
+    wt, eps, phi, e, f = Crystal.stats(crystal, elt)
+    e, f = ([None if t is None else (t,) for t in ts] for ts in (e, f))
+    return (elt,), (wt, eps, phi, tuple(e), tuple(f))
 
 
 def _pair(datum, left, right):

@@ -8,8 +8,11 @@
 float range) name datum files written by ``write_datum_files``, and
 ``{broken}``, ``{extra}``, ``{shape}``, ``{empty}``, ``{seq-float}`` and
 ``{violation}`` files it writes that ``validate`` rejects; ``{out}`` names
-an output file in the same directory.  A change to argument handling or
-dispatch that moves one byte of output fails here.  For an intended
+an output file in the same directory.  The files are written once per
+module and shared by every case.  An exit-1 or exit-2 case also pins its
+stderr, the message a user reads, with that directory written as
+``{dir}``.  A change to argument handling or dispatch that moves one
+byte of output fails here.  For an intended
 change of output, rewrite the file with
 ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
 """
@@ -120,6 +123,7 @@ CASES = {
     "check-embedding-empty": ["check", "embedding", "--datum", "{empty}", "--depth", "1"],
     "validate-seq-float": ["validate", "--datum", "{seq-float}"],
     "gen-seq-float": ["gen", "--datum", "{seq-float}", "--depth", "1"],
+    "gen-violation": ["gen", "--datum", "{violation}", "--depth", "1"],
 }
 
 
@@ -156,23 +160,33 @@ def write_datum_files(directory) -> dict:
 
 
 def run_case(argv, files, directory) -> dict:
-    """Run one case; return its exit code, stdout and ``--out`` text."""
+    """Run one case; return its exit code, stdout and ``--out`` text, and
+    on exit 1 or 2 its stderr with ``directory`` written as ``{dir}``."""
     out_path = os.path.join(directory, "out.txt")
     names = {**files, "out": out_path}
     args = [names.get(a[1:-1], a) if a.startswith("{") else a for a in argv]
     if os.path.exists(out_path):
         os.remove(out_path)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(args)
         except SystemExit as exc:
             code = exc.code
     result = {"exit": code, "stdout": stdout.getvalue()}
+    if code in (1, 2):
+        result["stderr"] = stderr.getvalue().replace(str(directory), "{dir}")
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as fh:
             result["out"] = fh.read()
     return result
+
+
+@pytest.fixture(scope="module")
+def datum_files(tmp_path_factory):
+    """(files, directory): the datum files, written once for every case."""
+    directory = tmp_path_factory.mktemp("golden")
+    return write_datum_files(directory), directory
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +200,8 @@ def test_every_case_is_pinned(golden):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_case(name, golden, tmp_path):
-    files = write_datum_files(tmp_path)
-    assert run_case(CASES[name], files, tmp_path) == golden[name]
+def test_case(name, golden, datum_files):
+    assert run_case(CASES[name], *datum_files) == golden[name]
 
 
 def test_pinned_facts(golden):
@@ -204,13 +217,15 @@ def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_a_rejected_argv_leaves_the_shared_parser_intact(golden, tmp_path):
+def test_a_rejected_argv_leaves_the_shared_parser_intact(golden, datum_files):
     # argparse refuses "--depth x" with exit 2; the next call reuses the
-    # same parser and must still give the golden output
-    files = write_datum_files(tmp_path)
-    rejected = run_case(["gen", "--datum", "{d1}", "--depth", "x"], files, tmp_path)
-    assert rejected == {"exit": 2, "stdout": ""}
-    assert run_case(CASES["gen-binf-json"], files, tmp_path) == golden["gen-binf-json"]
+    # same parser and must still give the golden output.  The usage lines
+    # above argparse's message wrap at the terminal width, so only the
+    # message is pinned.
+    rejected = run_case(["gen", "--datum", "{d1}", "--depth", "x"], *datum_files)
+    assert (rejected["exit"], rejected["stdout"]) == (2, "")
+    assert rejected["stderr"].endswith("gkmc gen: error: argument --depth: 'x' is not an integer\n")
+    assert run_case(CASES["gen-binf-json"], *datum_files) == golden["gen-binf-json"]
 
 
 if __name__ == "__main__":
