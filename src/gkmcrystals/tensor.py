@@ -23,18 +23,22 @@ its ``stats`` folds the leaves left to right through ``_pair_stats``,
 the same pair step that ``bracket_stats`` folds an explicit tree with
 and that ``verify_associativity`` applies to both bracketings of a
 triple.  So the rule above has one implementation, and the change of
-bracketing is an executable fact rather than an assumption.  A tree
-only describes the bracketing: an operator target is the tuple of its
-leaf elements, the payload of a ``TensorElement``, whichever
-bracketing produced it.  A leaf is read through its crystal's five
-operators, and each factor keeps its last leaf read with its
-statistics, so B(lambda)'s constant t_lambda and c leaves are read once.
+bracketing is an executable fact rather than an assumption.  The five
+scalar operators read their entry of ``stats``; ``bracket_stats``
+stays as the tree reference.  A tree only describes the bracketing:
+an operator target is the tuple of its leaf elements, the payload of a
+``TensorElement``, whichever bracketing produced it.  A leaf is read
+through its crystal's five operators and carries its pairing vector
+wt_i = <h_i, wt> for every i (from ``datum.pairing``); a pair's vector
+is the sum of its children's.  Each factor keeps its last leaf read
+with its statistics, so B(lambda)'s constant t_lambda and c leaves are
+read once.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import mul
+from itertools import product, repeat
+from operator import add, sub
 from typing import NamedTuple
 
 from .checks import CheckReport
@@ -105,36 +109,26 @@ class TensorCrystal(Crystal):
             raise ValueError(f"expected {len(self.factors)} factors, got {len(flat)}")
         return TensorElement(tuple(flat))
 
-    def _tree(self, b: TensorElement):
-        """The left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn of b."""
-        if len(b.factors) != len(self.factors):
-            raise ValueError("element does not belong to this tensor crystal")
-        pairs = zip(self.factors, b.factors)
-        tree = BracketLeaf(*next(pairs))
-        for crystal, elt in pairs:
-            tree = BracketPair(tree, BracketLeaf(crystal, elt))
-        return tree
-
     def wt(self, b):
-        return bracket_wt(self.datum, self._tree(b))
+        return self.stats(b)[0]
 
     def eps(self, i, b):
-        return bracket_eps(self.datum, i, self._tree(b))
+        return self.stats(b)[1][i]
 
     def phi(self, i, b):
-        return bracket_phi(self.datum, i, self._tree(b))
+        return self.stats(b)[2][i]
 
     def f(self, i, b):
-        return self._flat(bracket_lower(self.datum, i, self._tree(b)))
+        return self.stats(b)[4][i]
 
     def e(self, i, b):
-        return self._flat(bracket_raise(self.datum, i, self._tree(b)))
+        return self.stats(b)[3][i]
 
     def stats(self, b):
         """All of b's statistics from one left-to-right fold of its
-        leaves through ``_pair``, the evaluation of ``_tree(b)`` without
-        building it.  Each factor keeps its last leaf read, so a run of
-        equal leaves in one factor is read once."""
+        leaves through ``_pair``: ``bracket_stats`` of the left-nested
+        tree of b, without building it.  Each factor keeps its last leaf
+        read, so a run of equal leaves in one factor is read once."""
         parts = b.factors
         if len(parts) != len(self.factors):
             raise ValueError("element does not belong to this tensor crystal")
@@ -144,7 +138,7 @@ class TensorCrystal(Crystal):
             if read[0][0] is not elt and read[0][0] != elt:
                 read = last[k] = _leaf(crystal, elt)
             acc = read if acc is None else _pair(datum, acc, read)
-        wt, eps, phi, e, f = acc[1]
+        wt, eps, phi, e, f, _ = acc[1]
         return wt, eps, phi, tuple(map(self._flat, e)), tuple(map(self._flat, f))
 
     @staticmethod
@@ -160,7 +154,7 @@ def bracket_stats(datum, tree):
     indexed by i, each target a tuple of leaf elements or None.  A leaf
     is read through its crystal's five operators; a pair is folded by
     ``_pair_stats``."""
-    return _fold(datum, tree)[1]
+    return _fold(datum, tree)[1][:5]
 
 
 def _fold(datum, tree):
@@ -172,10 +166,13 @@ def _fold(datum, tree):
 
 def _leaf(crystal, elt):
     """(leaf tuple, statistics) of one factor's element, read through
-    its crystal's five operators; targets become one-leaf tuples."""
+    its crystal's five operators; targets become one-leaf tuples.  The
+    statistics end with the pairing vector (<h_i, wt> for every i)."""
     wt, eps, phi, e, f = Crystal.stats(crystal, elt)
     e, f = ([None if t is None else (t,) for t in ts] for ts in (e, f))
-    return (elt,), (wt, eps, phi, tuple(e), tuple(f))
+    datum = crystal.datum
+    pairings = tuple(map(datum.pairing, datum.indices(), repeat(wt)))
+    return (elt,), (wt, eps, phi, tuple(e), tuple(f), pairings)
 
 
 def _pair(datum, left, right):
@@ -185,21 +182,19 @@ def _pair(datum, left, right):
 
 def _pair_stats(datum, left, right, left_stats, right_stats):
     """The statistics of left ⊗ right, given as leaf tuples, from its
-    children's: the rule above, applied once per index.  This is the
-    only code that applies it."""
-    lwt, leps, lphi, lup, ldown = left_stats
-    rwt, reps, rphi, rup, rdown = right_stats
-    eps, phi, e, f = [], [], [], []
-    for i, (is_real, a_ii, row) in enumerate(datum.index_rows):
-        # <h_i, wt> of each child, by datum.pairing's formula
-        lpair = lwt.lam[i] + sum(map(mul, row, lwt.rt))
-        rpair = rwt.lam[i] + sum(map(mul, row, rwt.rt))
-        eps.append(max(leps[i], reps[i] - lpair))
-        phi.append(max(lphi[i] + rpair, rphi[i]))
+    children's: the rule above, eps and phi column by column and the
+    sides once per index; a pair's pairing vector is the sum of its
+    children's.  This is the only code that applies the rule."""
+    lwt, leps, lphi, lup, ldown, lpv = left_stats
+    rwt, reps, rphi, rup, rdown, rpv = right_stats
+    e, f = [], []
+    for i, (is_real, a_ii, _) in enumerate(datum.index_rows):
         side = raising_side(is_real, a_ii, lphi[i], reps[i])
         e.append(_replaced(side, left, right, lup[i], rup[i]))
         f.append(_replaced(lowering_side(lphi[i], reps[i]), left, right, ldown[i], rdown[i]))
-    return lwt + rwt, tuple(eps), tuple(phi), tuple(e), tuple(f)
+    return (lwt + rwt, tuple(map(max, leps, map(sub, reps, lpv))),
+            tuple(map(max, map(add, lphi, rpv), rphi)), tuple(e), tuple(f),
+            tuple(map(add, lpv, rpv)))
 
 
 def _replaced(side, left, right, left_target, right_target):
@@ -264,7 +259,7 @@ def verify_associativity(g1, g2, g3) -> CheckReport:
     # each law and its column of the statistics (wt, eps, phi, e, f)
     laws = (("assoc_eps", 1), ("assoc_phi", 2), ("assoc_f", 4), ("assoc_e", 3))
     rep = CheckReport()
-    s1, s2, s3 = ([_fold(datum, BracketLeaf(g.crystal, b)) for b in g.elements()]
+    s1, s2, s3 = ([_leaf(g.crystal, b) for b in g.elements()]
                   for g in (g1, g2, g3))
     s12 = [[_pair(datum, x, y) for y in s2] for x in s1]
     s23 = [[_pair(datum, y, z) for z in s3] for y in s2]

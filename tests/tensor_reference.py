@@ -10,6 +10,10 @@ library calls it.
 ``verify_associativity`` is the associativity check as it was before
 it read each element and each inner pair once per call: every triple
 builds both bracketings afresh and folds them from their leaves.
+
+``left_nested_tree`` builds the explicit bracket tree of a flat
+product element, for diffing ``TensorCrystal.stats`` against
+``bracket_stats``.
 """
 
 from itertools import product
@@ -48,6 +52,16 @@ def _pairs(crystal, b: TensorElement):
     if len(b.factors) != len(crystal.factors):
         raise ValueError("element does not belong to this tensor crystal")
     return list(zip(crystal.factors, b.factors))
+
+
+def left_nested_tree(crystal, b: TensorElement):
+    """The left-nested bracket tree ((b1 ⊗ b2) ⊗ ...) ⊗ bn of b, whose
+    ``bracket_stats`` ``TensorCrystal.stats`` must equal."""
+    pairs = iter(_pairs(crystal, b))
+    tree = BracketLeaf(*next(pairs))
+    for leaf in pairs:
+        tree = BracketPair(tree, BracketLeaf(*leaf))
+    return tree
 
 
 def wt(crystal, b):

@@ -1,14 +1,18 @@
 """The two one-entry caches of product leaf reads, against uncached paths.
 
-``TensorCrystal.stats`` folds a product's leaves without building a
-tree, and each factor keeps its last leaf read; it must equal
-``bracket_stats`` of ``_tree(b)`` and the flat recursion of
-``tensor_reference`` on every element of rank-2 and Monster B(lambda),
-the ``crystal_embedding`` targets and 50 seeded random products, read in
+``TensorCrystal.stats`` folds a product's leaves, with their pairing
+vectors, without building a tree, and each factor keeps its last leaf
+read; it must equal ``bracket_stats``, the tree reference, of the
+left-nested tree of b and the flat recursion of ``tensor_reference`` on
+every element of rank-2 and Monster B(lambda), the
+``crystal_embedding`` targets and 50 seeded random products, read in
 sorted, reversed, shuffled and repeated order, with all those crystals
-interleaved.  ``StringCrystal``'s eps, phi, e and f share the scan of the
-last string read; they must equal its ``stats`` in interleaved orders,
-on equal strings that are not identical, on one string tuple read by two
+interleaved.  The scalar operators wt, eps, phi, e and f read their
+entry of ``stats``, so they go through the same cache; each of their
+reads, one by one in the same four orders, must equal that entry.
+``StringCrystal``'s eps, phi, e and f share the scan of the last string
+read; they must equal its ``stats`` in interleaved orders, on equal
+strings that are not identical, on one string tuple read by two
 crystals over different sequences, and on strings that are freed as
 soon as they are read."""
 
@@ -55,7 +59,7 @@ def tensor_universes():
 def expected_tensor_stats(crystal, b):
     """b's statistics from its bracket tree, after checking them against
     the flat recursion; neither path reads ``TensorCrystal.stats``."""
-    wt, eps, phi, e, f = bracket_stats(crystal.datum, crystal._tree(b))
+    wt, eps, phi, e, f = bracket_stats(crystal.datum, ref.left_nested_tree(crystal, b))
     want = wt, eps, phi, tuple(map(crystal._flat, e)), tuple(map(crystal._flat, f))
     indices = crystal.datum.indices()
     flat = (ref.wt(crystal, b),) + tuple(
@@ -88,6 +92,29 @@ def test_every_kind_of_universe_is_read(reads):
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled", "repeated"])
 def test_tensor_stats_in_every_order(reads, order):
     bad = [(c, b) for c, b, want in orders(reads)[order] if c.stats(b) != want]
+    assert bad == []
+
+
+def operator_reads(reads) -> list:
+    """(crystal, element, operator, index, expected value) of every
+    scalar read of every element: wt, and eps, phi, e and f at each index."""
+    out = []
+    for c, b, want in reads:
+        out.append((c, b, "wt", None, want[0]))
+        out += [(c, b, op, i, want[col][i]) for col, op in enumerate(OPS, start=1)
+                for i in c.datum.indices()]
+    return out
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled", "repeated"])
+def test_tensor_operators_one_by_one_in_every_order(reads, order):
+    # shuffled order scatters an element's reads among other elements
+    # and crystals; repeated order makes each read twice in a row
+    bad = []
+    for c, b, op, i, want in orders(operator_reads(reads))[order]:
+        got = c.wt(b) if op == "wt" else getattr(c, op)(i, b)
+        if got != want:
+            bad.append((c, b, op, i))
     assert bad == []
 
 

@@ -1,6 +1,8 @@
-"""TensorCrystal, which evaluates a product as the left-nested bracket
-tree of its factors, against the flat signature-rule recursion it
-replaces: wt, eps, phi, e and f, one by one and as one ``stats`` tuple,
+"""TensorCrystal, whose ``stats`` folds a product's leaves, with their
+pairing vectors, in the left-nested bracketing and whose scalar
+operators read their entry of ``stats``, against the flat
+signature-rule recursion it replaces (``bracket_stats`` is the tree
+reference): wt, eps, phi, e and f, one by one and as one ``stats`` tuple,
 on every node and index of the B(lambda) carriers, the
 crystal-embedding and tensor-decomposition targets, and random products
 of small crystals.  Also ``verify_associativity``, which reads each
