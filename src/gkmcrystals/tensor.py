@@ -128,14 +128,14 @@ class TensorCrystal(Crystal):
         """All of b's statistics from one left-to-right fold of its
         leaves through ``_pair``: ``bracket_stats`` of the left-nested
         tree of b, without building it.  Each factor keeps its last leaf
-        read, so a run of equal leaves in one factor is read once."""
+        read, by identity, so a run of identical leaves is read once."""
         parts = b.factors
         if len(parts) != len(self.factors):
             raise ValueError("element does not belong to this tensor crystal")
         datum, last, acc = self.datum, self._last, None
         for k, crystal, elt in zip(range(len(parts)), self.factors, parts):
             read = last[k]
-            if read[0][0] is not elt and read[0][0] != elt:
+            if read[0][0] is not elt:
                 read = last[k] = _leaf(crystal, elt)
             acc = read if acc is None else _pair(datum, acc, read)
         wt, eps, phi, e, f, _ = acc[1]

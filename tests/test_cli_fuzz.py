@@ -3,18 +3,11 @@
 raises anything else.  Depths and trial counts stay tiny, so every
 generated command is fast."""
 
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gkmcrystals as G
-from gkmcrystals.cli import main
-
-from conftest import make_d1, make_huge, make_toy_monster
+from test_cli_golden import datum_files, run_case  # datum_files: the shared fixture
 
 GENERATION = ["--mode", "--lambda", "--seq"]
 
@@ -41,7 +34,7 @@ VERBS = {
 BAD_NUMBERS = ["-1", "x", "", "1.5", "0x1", "1e2", " ", "1_0", " 3", "+3", "\u0663"]
 
 # flag -> (values that parse, values that do not); "{...}" names a file
-# of the fixture below
+# of the golden module's ``write_datum_files``
 VALUES = {
     "--datum": (["{d1}", "{monster}", "{real}", "{huge}"],
                 ["{broken}", "{no-level}", "{missing}", "{dir}", "{empty}", "{bad-explicit}",
@@ -92,61 +85,18 @@ def command(verb):
 argv_strategy = st.sampled_from(sorted(VERBS)).flatmap(command)
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
-    paths = {"{dir}": str(root), "{out}": str(root / "out.txt"),
-             "{missing}": str(root / "missing.json"),
-             "{missing-dir}": str(root / "missing-dir" / "out.txt")}
-    for key, datum, spec in [
-        ("{d1}", make_d1(), None),
-        ("{monster}", make_toy_monster().datum,
-         {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),
-        ("{real}", G.make_datum(["a", "b"], [[2, -1], [-1, 2]]), None),
-        ("{huge}", make_huge(), None),
-        ("{no-level}", make_toy_monster().datum, {"kind": "monster", "multiplicities": [2, 1]}),
-        ("{bad-explicit}", make_d1(), {"kind": "explicit", "prefix": 5, "cycle": ["1", "2"]}),
-        ("{wrong-monster}", make_d1(), {"kind": "monster", "level": 2, "multiplicities": [2, 1]}),
-    ]:
-        paths[key] = str(root / (key.strip("{}") + ".json"))
-        G.save_datum_file(paths[key], datum, sequence_spec=spec)
-    for key, payload in [
-        ("{broken}", json.dumps({"indices": ["1"], "cartan": [[2]]})[:-3].encode()),
-        ("{empty}", json.dumps({"indices": [], "cartan": [], "symmetrizers": []}).encode()),
-        ("{binary}", b"\xff\xfe{"),
-        ("{violation}", json.dumps({"indices": ["1"], "cartan": [[-1]], "symmetrizers": [1]})
-         .encode()),
-    ]:
-        paths[key] = str(root / (key.strip("{}") + ".json"))
-        with open(paths[key], "wb") as fh:
-            fh.write(payload)
-    return paths
-
-
-def exit_code(argv):
-    """main's return value, or the code argparse exits with."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @settings(max_examples=150, deadline=None)
 @given(argv=argv_strategy)
-def test_main_keeps_exit_contract(files, argv):
-    argv = [files.get(a, a) for a in argv]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = exit_code(argv)
-    assert code in (0, 1, 2), argv
+def test_main_keeps_exit_contract(datum_files, argv):
+    assert run_case(argv, *datum_files)["exit"] in (0, 1, 2), argv
 
 
 @pytest.mark.parametrize("datum", [*VALUES["--datum"][0], *VALUES["--datum"][1]])
-def test_validate_agrees_with_gen(files, datum):
+def test_validate_agrees_with_gen(datum_files, datum):
     """``validate`` accepts exactly the datum files every other verb
     reads, and rejects the others with the exit code ``gen`` gives."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        validate = exit_code(["validate", "--datum", files[datum]])
-        gen = exit_code(["gen", "--datum", files[datum], "--depth", "0"])
+    validate = run_case(["validate", "--datum", datum], *datum_files)["exit"]
+    gen = run_case(["gen", "--datum", datum, "--depth", "0"], *datum_files)["exit"]
     assert validate == gen
     assert (validate == 0) == (datum in VALUES["--datum"][0])
 
@@ -165,22 +115,21 @@ INTEGER_SLOTS = {
 }
 
 
-def slot_exit_code(files, slot, text):
-    argv = [files.get(a, a.replace("{n}", text)) for a in INTEGER_SLOTS[slot]]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return exit_code(argv)
+def slot_exit_code(datum_files, slot, text):
+    argv = [a.replace("{n}", text) for a in INTEGER_SLOTS[slot]]
+    return run_case(argv, *datum_files)["exit"]
 
 
 @pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
-def test_integer_slots_accept_plain_digits(files, slot):
-    assert slot_exit_code(files, slot, "1") in (0, 1)
+def test_integer_slots_accept_plain_digits(datum_files, slot):
+    assert slot_exit_code(datum_files, slot, "1") in (0, 1)
 
 
 @pytest.mark.parametrize("text", BAD_NUMBERS)
 @pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
-def test_bad_numbers_exit_two(files, slot, text):
+def test_bad_numbers_exit_two(datum_files, slot, text):
     """Every integer is read by one rule, -?[0-9]+ with a minimum where
     the option has one; "-1" is a valid seed."""
     if slot == "seed" and text == "-1":
         return
-    assert slot_exit_code(files, slot, text) == 2
+    assert slot_exit_code(datum_files, slot, text) == 2
