@@ -228,8 +228,11 @@ def _oracle_outcome(title, report, out_path) -> int:
 
 
 def cmd_oracle_rank2(args) -> int:
+    fields = args.abc.split(",")
     try:
-        a, b, c = (_integer(v) for v in args.abc.split(","))
+        if len(fields) != 3:
+            raise ValueError("expected three integers a,b,c")
+        a, b, c = map(_integer, fields)
         params = Rank2Params(a, b, c)
     except ValueError as exc:
         raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc

@@ -6,6 +6,9 @@ import pytest
 import gkmcrystals as G
 from gkmcrystals.closed_form import default_position_bound, iter_bounded_strings
 
+import closed_form_reference as ref
+from test_closed_form_differential import RANK2_LAMBDAS, RANK2_PARAMS
+
 
 class TestRank2Params:
     def test_validation(self):
@@ -69,6 +72,31 @@ class TestRank2HighestWeight:
         assert not G.rank2_highest_weight_member((1, 1, 1), p, d1, zero2)
         assert G.rank2_highest_weight_member((1, 1, 1), p, d1, one2)
         assert G.rank2_highest_weight_member((1, 2, 1), p, d1, zero2)
+
+
+class TestRank2SupportShape:
+    """The lemma behind the shape test that ``_rank2_conditions`` runs
+    first, checked on the reference predicates and the depth-6 box: no
+    accepted string has a zero strictly between position 1 and its last
+    nonzero position, for B(inf) or for any lam."""
+
+    @pytest.mark.parametrize("abc", RANK2_PARAMS)
+    def test_accepted_strings_are_zero_free_from_x2(self, abc):
+        p = G.Rank2Params(*abc)
+        datum = G.rank2_datum(p)
+        box = list(iter_bounded_strings(default_position_bound(G.cyclic_sequence(datum), 6), 6))
+        predicates = [lambda x: ref.rank2_member(x, p)] + [
+            lambda x, lam=datum.weight(lam=list(h)): ref.rank2_highest_weight_member(x, p, datum, lam)
+            for h in RANK2_LAMBDAS
+        ]
+        led_by_zero = 0
+        for member in predicates:
+            accepted = list(filter(member, box))
+            assert accepted
+            assert [x for x in accepted if 0 in x[1:]] == []  # box strings end nonzero
+            led_by_zero += sum(1 for x in accepted if x and x[0] == 0)
+        # x_1 is the one position a member may leave zero before its support
+        assert led_by_zero
 
 
 class TestMonsterModel:
