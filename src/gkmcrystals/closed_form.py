@@ -9,8 +9,16 @@ Two families are covered, each over its canonical index sequence:
   and m(1), ..., m(L) imaginary indices of degrees 1..L, Cartan entries
   -(deg + deg'), block sequence with the real index at positions b(n).
 
-The membership conditions are evaluated with exact pairings taken from
-the datum.  Each family writes its conditions once: B(lam) sits inside
+The string model is a polyhedral realization (Nakashima-Zelevinsky,
+Adv. Math. 1997): membership is one set of local inequalities over the
+sequence, and one body, ``_StringModel._conditions``, evaluates it for
+both families.  Rank 2 is its case of one imaginary index over the
+cyclic sequence, and Monster (i) is (ii) at n = 0: the indices between
+b(0) and b(1) pair to 0 with the real index.  A zero at a real slot
+satisfies (ii) there, since <h_real, alpha_j> <= 0 for every imaginary
+j, so the (ii) loop sums a window only behind a nonzero real variable.
+
+Pairings are exact, read off the datum.  B(lam) sits inside
 B(inf) (x) T_lam (x) C as (string) (x) t_lam (x) c, so a dominant lam
 acts as a budget in front of position 1 -- <h_i, lam> is the room an
 index has before its first occurrence -- and the highest-weight
@@ -22,35 +30,24 @@ crystal) against the generated component -- no shared code path.  The
 box holds C(positions + depth, depth) strings, tabulated by halves so
 that each costs one tuple concatenation (``iter_bounded_strings``).
 
-The rank-2 predicates reject by support shape first.  A member of
-either (B(inf), or B(lam) for any dominant lam) has no zero strictly
-between position 1 and its last nonzero position, since a zero there
-spreads to the right:
+The rank-2 predicates test support shape before the shared body: a
+member has no zero strictly between position 1 and its last nonzero
+position (``rank2_member`` has the proof), so one C-level scan turns
+away all but 255 of the 245,157 strings of the depth-7 box.
 
-* (i) holds at every k, also under lam: x_{2k} = 0 forces x_{2k+1} = 0;
-* (ii) holds for k >= 2: x_{2k-1} = 0 forces x_{2k} = 0;
-* the lam waiver of (ii) at k = 1 concerns only x_1.
-
-So a string ending in a nonzero entry with a zero among x_2, x_3, ...
-fails at once, by one C-level scan, and only the strings that pass (255
-of the 245,157 in the depth-7 box) run the conditions position by
-position.
-
-The predicates are table-driven, so one test costs O(support): the
-rank-2 ones index the string directly, the Monster-type ones read
-tables of the sequence's index array: the real slots (the positions of
-the real index, which the b(n) formula only checks), the previous
-occurrence of every position and the Cartan entries along the sequence.
-The position-by-position reference evaluation they replace, and the
-box built string by string from its multiset, are kept in the test
-suite (``tests/closed_form_reference.py``), and differential tests diff
-each against its replacement.
+The conditions are table-driven, so one test costs O(support): they
+read tables of the sequence's index array (real slots, previous
+occurrences, Cartan entries along the sequence).  The per-family,
+position-by-position references they replace and the box built string
+by string are kept in ``tests/closed_form_reference.py``, and
+differential tests diff each against its replacement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, compress
 from operator import mul
 
@@ -58,6 +55,7 @@ from .cartan import BorcherdsCartanDatum, Weight, is_int, make_datum
 from .binfinity import (
     IndexSequence,
     MonsterParams,
+    cyclic_sequence,
     monster_block_sequence,
     monster_real_position,
     realize_binfinity,
@@ -68,7 +66,8 @@ from .graph import weight_multiplicities
 
 class MonsterConditionError(RuntimeError):
     """The interval between consecutive occurrences of an imaginary index
-    did not contain exactly one real slot; the sequence is malformed."""
+    did not contain exactly one real slot; the sequence of the string
+    model (rank 2 or Monster-type) is malformed."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,12 @@ def rank2_datum(p: Rank2Params) -> BorcherdsCartanDatum:
     return make_datum(("1", "2"), ((2, -p.a), (-p.b, -p.c)), (p.b // g, p.a // g))
 
 
+@lru_cache
+def _rank2_model(p: Rank2Params) -> _StringModel:
+    datum = rank2_datum(p)
+    return _StringModel(datum, cyclic_sequence(datum))
+
+
 def rank2_member(x, p: Rank2Params) -> bool:
     """Membership in the component of the zero string, rank 2.
 
@@ -95,6 +100,9 @@ def rank2_member(x, p: Rank2Params) -> bool:
       (i)  a x_{2k} - x_{2k+1} >= 0 for all k >= 1;
       (ii) whenever x_{2k} > 0 with k >= 2, both x_{2k-1} > 0 and
            a x_{2k} - x_{2k+1} > 0.
+
+    These are ``MonsterModel.member``'s conditions over the cyclic
+    sequence: (i) is Monster (ii) at every n >= 0, and (ii) is (iii).
 
     Support shape: a member with last nonzero position L has
     x_2, ..., x_L all nonzero, and so has every member of
@@ -104,7 +112,7 @@ def rank2_member(x, p: Rank2Params) -> bool:
       x_{2k-1} = 0 with k >= 2 forces x_{2k} = 0 by (ii);
       the lam waiver touches (ii) at k = 1 only, which reads x_1.
     """
-    return _rank2_conditions(x, p)
+    return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x)
 
 
 def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
@@ -117,30 +125,12 @@ def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
     When <h_2, lam> = 0 the first imaginary variable behaves exactly
     like the later ones, so the k = 1 instance of the base condition
     (ii) -- support from the right and a strict gate to the left --
-    applies to it as well; that is (b).  Dropping it admits strings the
-    component provably avoids (e.g. (1, 1, 1) for a = 1,
-    <h_1, lam> = 1, <h_2, lam> = 0, whose only lowering path would pass
-    through the excluded (0, 1))."""
-    return _rank2_conditions(x, p, datum, lam)
-
-
-def _rank2_conditions(x, p: Rank2Params, datum=None, lam=None) -> bool:
-    """(i), (ii) of ``rank2_member``; with lam, also (a), and (ii) at
-    k = 1 when <h_2, lam> = 0 (without lam the budget is unbounded)."""
-    if 0 in x[1:] and x[-1]:  # support shape (``rank2_member``); padded strings run the loop
-        return False
-    a, n = p.a, len(x)
-    # x[k] is x_{2j}, j = (k + 1) / 2; k = 1, the one instance lam can waive, goes
-    # last, so its budget is read only once every other instance holds
-    for k in reversed(range(1, n, 2)):
-        v = x[k]
-        gate = a * v - (x[k + 1] if k + 1 < n else 0)
-        if gate < 0:
-            return False
-        if v > 0 and (x[k - 1] == 0 or gate <= 0):
-            if k > 1 or lam is not None and datum.pairing(1, lam) == 0:
-                return False
-    return lam is None or not x or x[0] <= datum.pairing(0, lam)
+    applies to it as well; that is (b), ``MonsterModel``'s (b) over the
+    cyclic sequence.  Dropping it admits strings the component provably
+    avoids (e.g. (1, 1, 1) for a = 1, <h_1, lam> = 1, <h_2, lam> = 0,
+    whose only lowering path would pass through the excluded (0, 1)).
+    ``datum`` must be ``rank2_datum(p)`` (kept for compatibility)."""
+    return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x, lam)
 
 
 def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
@@ -158,8 +148,8 @@ def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
 
 
 class _SequenceTables:
-    """Per-position tables of a Monster-type datum along the index array
-    ``idx`` of its sequence (position p holds x_{p+1}):
+    """Per-position tables of a string model's datum along the index
+    array ``idx`` of its sequence (position p holds x_{p+1}):
 
     * ``idx[p]``    the index i_{p+1};
     * ``prev[p]``   the previous position carrying the same index, -1 if
@@ -192,82 +182,41 @@ class _SequenceTables:
         return -sum(map(mul, self.pair[0][lo:hi], x[lo:hi])) - (x[hi] if hi < len(x) else 0)
 
 
-class MonsterModel:
-    """A Monster-type truncation bundled with its datum and sequence.
+class _StringModel:
+    """A datum whose only real index is 0 over a sequence starting with
+    it; ``_conditions`` reads strings against tables of the sequence,
+    rebuilt whenever ``sequence.indices`` returns another array."""
 
-    The predicates read the string against per-position tables of the
-    sequence (index array, previous occurrences, Cartan entries, real
-    slots), rebuilt whenever ``sequence.indices`` returns another array.
-    """
-
-    def __init__(self, params: MonsterParams):
-        self.params = params
-        self.datum = monster_datum(params)
-        self.sequence = monster_block_sequence(self.datum, params.level, params.multiplicities)
+    def __init__(self, datum, sequence: IndexSequence):
+        self.datum = datum
+        self.sequence = sequence
         self._tables = None
-
-    def real_position(self, n: int) -> int:
-        return monster_real_position(n, self.params.multiplicities)
 
     def _tables_for(self, length: int) -> _SequenceTables:
         """Tables of the current sequence over at least ``length`` + 1
         positions, so that ``real`` ends past the support even for the
         empty string.  Real slots are read off the index array; the b(n)
-        formula of ``real_position`` only checks them."""
+        formula of ``MonsterModel.real_position`` only checks them."""
         idx = self.sequence.indices(length + 1)
         t = self._tables
         if t is None or t.idx is not idx:
             t = self._tables = _SequenceTables(self.datum, idx)
         return t
 
-    def member(self, x) -> bool:
-        """Membership in the component of the zero string.
-
-        (i)   the variable at the second real slot b(1) vanishes;
-        (ii)  for every n >= 1 the imaginary mass between consecutive
-              real slots supports the next real variable:
-              -(sum_{b(n)<l<b(n+1)} <h_real, alpha_{i_l}> x_l) >= x_{b(n+1)};
-        (iii) an imaginary variable may recur only across strictly
-              negative pairing mass, and when that mass sits entirely on
-              real slots the supporting inequality of (ii) must be strict
-              at the unique real slot between the two occurrences.
-        """
-        return self._conditions(x)
-
-    def highest_weight_member(self, x, lam: Weight) -> bool:
-        """Base conditions plus, for dominant lam:
-
-        (a) 0 <= x_1 <= <h_real, lam>;
-        (b) a first occurrence k of an imaginary index with
-            <h_i, lam> = 0 needs earlier support, some l < k with
-            <h_i, alpha_{i_l}> < 0 and x_l > 0; in addition, when that
-            support sits on real slots only (x_l = 0 for every earlier
-            imaginary slot), the supporting inequality of (ii) at the
-            real slot immediately before k must be strict.
-
-        A first occurrence with <h_i, lam> = 0 is subject to the same
-        mechanism as a repeat occurrence, with the lam budget playing
-        the role of the previous occurrence: (b) is (iii) with its
-        window opened at position 1.  Since <h_i, alpha_j> <= 0 for an
-        imaginary i, "some negative term" is "negative mass"."""
-        return self._conditions(x, lam)
-
     def _conditions(self, x, lam=None) -> bool:
-        """(i)-(iii) of ``member``; with lam, also (a), and (iii) at first
-        occurrences of i with <h_i, lam> = 0, whose budgets are read only
-        once every other condition holds (without lam, none binds)."""
+        """(ii) and (iii) of ``MonsterModel.member``, (i) being (ii) at
+        n = 0; with lam, also (a), and (iii) at first occurrences of i
+        with <h_i, lam> = 0, whose budgets are read only once every other
+        condition holds (without lam, none binds)."""
         support = len(x)
         t = self._tables_for(support)
         real, row0 = t.real, t.pair[0]
-        if real[1] < support:  # else (i) and (ii) read only zeros
-            if x[real[1]] != 0:
+        n = 0
+        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
+            lo, hi = real[n] + 1, real[n + 1]
+            if x[hi] and -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:  # a zero needs no mass
                 return False
-            n = 1
-            while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
-                lo, hi = real[n] + 1, real[n + 1]
-                if -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:
-                    return False
-                n += 1
+            n += 1
         idx, prev = t.idx, t.prev
         unpaid = []  # first occurrences that (iii) rejects unless lam pays
         for k in compress(range(support), x):
@@ -290,6 +239,56 @@ class MonsterModel:
         pairing = self.datum.pairing
         return lam is None or (
             all(pairing(i, lam) for i in unpaid) and (not x or x[0] <= pairing(0, lam)))
+
+
+class MonsterModel(_StringModel):
+    """A Monster-type truncation bundled with its datum and block
+    sequence; its predicates are the shared ``_conditions``."""
+
+    def __init__(self, params: MonsterParams):
+        self.params = params
+        datum = monster_datum(params)
+        super().__init__(datum, monster_block_sequence(datum, params.level, params.multiplicities))
+
+    def real_position(self, n: int) -> int:
+        return monster_real_position(n, self.params.multiplicities)
+
+    def member(self, x) -> bool:
+        """Membership in the component of the zero string.
+
+        (i)   the variable at the second real slot b(1) vanishes;
+        (ii)  for every n >= 1 the imaginary mass between consecutive
+              real slots supports the next real variable:
+              -(sum_{b(n)<l<b(n+1)} <h_real, alpha_{i_l}> x_l) >= x_{b(n+1)};
+        (iii) an imaginary variable may recur only across strictly
+              negative pairing mass, and when that mass sits entirely on
+              real slots the supporting inequality of (ii) must be strict
+              at the unique real slot between the two occurrences.
+
+        (i) is (ii) at n = 0, whose window pairs to 0 with the real
+        index; a zero at a real slot meets (ii), as <h_real, alpha_j> <= 0
+        for imaginary j.  Over the rank-2 cyclic sequence these are
+        ``rank2_member``'s conditions.
+        """
+        return self._conditions(x)
+
+    def highest_weight_member(self, x, lam: Weight) -> bool:
+        """Base conditions plus, for dominant lam:
+
+        (a) 0 <= x_1 <= <h_real, lam>;
+        (b) a first occurrence k of an imaginary index with
+            <h_i, lam> = 0 needs earlier support, some l < k with
+            <h_i, alpha_{i_l}> < 0 and x_l > 0; in addition, when that
+            support sits on real slots only (x_l = 0 for every earlier
+            imaginary slot), the supporting inequality of (ii) at the
+            real slot immediately before k must be strict.
+
+        A first occurrence with <h_i, lam> = 0 is subject to the same
+        mechanism as a repeat occurrence, with the lam budget playing
+        the role of the previous occurrence: (b) is (iii) with its
+        window opened at position 1.  Since <h_i, alpha_j> <= 0 for an
+        imaginary i, "some negative term" is "negative mass"."""
+        return self._conditions(x, lam)
 
 
 def iter_bounded_strings(positions: int, max_height: int):

@@ -75,7 +75,7 @@ class TestRank2HighestWeight:
 
 
 class TestRank2SupportShape:
-    """The lemma behind the shape test that ``_rank2_conditions`` runs
+    """The lemma behind the shape test that ``rank2_member`` runs
     first, checked on the reference predicates and the depth-6 box: no
     accepted string has a zero strictly between position 1 and its last
     nonzero position, for B(inf) or for any lam."""
@@ -180,6 +180,50 @@ class TestMonsterModel:
     def test_uniqueness_guard_does_not_fire_on_block_sequences(self, toy_monster):
         for x in iter_bounded_strings(14, 3):
             toy_monster.member(x)  # must never raise
+
+
+def _sweep_cases():
+    """Rank 2: every (a, b, c) with a, b in {1, 2, 3} and c in {0, 2, 4},
+    B(inf) at depth 5 and three lam at depth 4.  Monster: nine
+    truncations up to level 3, B(inf) at depth 4 and lam = Lambda_real,
+    Lambda_(1,1) and their sum at depth 3."""
+    for abc in product((1, 2, 3), (1, 2, 3), (0, 2, 4)):
+        tag = "rank2-" + ",".join(map(str, abc))
+        yield pytest.param("rank2", abc, None, 5, id=f"{tag}-binf")
+        for h in ((1, 0), (0, 1), (1, 1)):
+            yield pytest.param("rank2", abc, h, 4, id=f"{tag}-lam{h[0]}{h[1]}")
+    for level, mults in [(1, (1,)), (1, (2,)), (1, (3,)), (2, (1, 1)), (2, (1, 2)),
+                         (2, (2, 1)), (2, (3, 1)), (3, (1, 1, 1)), (3, (2, 1, 1))]:
+        tag = f"monster-{level};" + ",".join(map(str, mults))
+        yield pytest.param("monster", (level, mults), None, 4, id=f"{tag}-binf")
+        for names in (("(-1,1)",), ("(1,1)",), ("(-1,1)", "(1,1)")):
+            yield pytest.param("monster", (level, mults), names, 3, id=f"{tag}-lam" + "+".join(names))
+
+
+@pytest.mark.parametrize("family,params,lam,depth", _sweep_cases())
+def test_closed_form_sweep(family, params, lam, depth):
+    """Both families run one condition body; the oracle diffs it against
+    generation over a sweep of data, for B(inf) and for B(lam)."""
+    if family == "rank2":
+        p = G.Rank2Params(*params)
+        datum = G.rank2_datum(p)
+        seq = G.cyclic_sequence(datum)
+        lam = None if lam is None else datum.weight(lam=list(lam))
+        if lam is None:
+            member = lambda x: G.rank2_member(x, p)
+        else:
+            member = lambda x: G.rank2_highest_weight_member(x, p, datum, lam)
+    else:
+        model = G.MonsterModel(G.MonsterParams(*params))
+        datum, seq = model.datum, model.sequence
+        if lam is None:
+            member = model.member
+        else:
+            lam = datum.weight(lam=[int(n in lam) for n in datum.index_names])
+            member = lambda x: model.highest_weight_member(x, lam)
+    report = G.compare_predicate_with_bfs(member, datum, seq, depth, lam=lam)
+    assert report.ok, report.summary()
+    assert report.char
 
 
 class TestEnumeration:
