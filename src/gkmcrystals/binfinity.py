@@ -25,16 +25,18 @@ Beyond the support all the maximized quantities are constant, so only
 the first occurrence of i past the support end is read there; it lies
 within one full cycle of the sequence.
 
-The sequence is read from a cached index array
-(``IndexSequence.indices``), grown by doubling when a longer string
-arrives.  Next to it each ``StringCrystal`` keeps one plan per index i:
-the entries <h_i, alpha_{i_k}> along the array, the positions where i
-occurs, whether i is real, and a_ii.  It also keeps the longest support
-its plans cover (the array length minus one cycle), so a string is
-checked against them with one comparison; the plans are rebuilt only
-when a longer string arrives.  Plans built for a shorter array stay
-valid after another crystal over the same sequence regrows it, since
-the shorter array is a prefix of the longer one.  One routine,
+The sequence owns the tables a string is read against
+(``IndexSequence.tables``): its index array, grown by doubling, the
+previous occurrence of the index at each position, and per index i the
+entries <h_i, alpha_{i_k}> along the array, the positions where i
+occurs, and the plan ``_index_stats`` reads (those two, whether i is
+real, and a_ii).  They record the longest support they cover (the
+array length minus one cycle), so a string is checked against them
+with one comparison, and they are rebuilt only when a longer string
+arrives.  Every crystal over the sequence reads the same tables, and so
+do the closed-form conditions of ``closed_form``.  Tables built for a
+shorter array stay valid after ``indices`` regrows it, since the
+shorter array is a prefix of the longer one.  One routine,
 ``_index_stats``, gives all of an index's statistics from its plan in
 one C-level prefix-sum pass over a string: for a real index, eps_i,
 phi_i and both maximizing positions at the occurrences of i in the
@@ -67,6 +69,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt, mul
+from typing import NamedTuple
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int
 from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
@@ -85,6 +88,26 @@ from .tensor import TensorCrystal
 class AuditError(RuntimeError):
     """A generated realization failed its structural audit; the crystal
     operators are inconsistent (this is a bug, not bad user input)."""
+
+
+class SequenceTables(NamedTuple):
+    """A datum read along the index array ``idx`` of a sequence (entry p
+    is i_{p+1}), per index i:
+
+    * ``rows[i]``  the entries <h_i, alpha_{i_k}> along ``idx``;
+    * ``occ[i]``   the 1-based positions k <= len(idx) with i_k = i;
+    * ``prev[p]``  the position of the previous occurrence of i_{p+1}, 0 if none;
+    * ``plans[i]`` what ``_index_stats`` reads: (rows[i], occ[i], is_real, a_ii);
+    * ``reach``    the longest support covered, len(idx) - len(cycle):
+      scan_bound(n) <= len(idx) iff n <= reach.
+    """
+
+    idx: list
+    rows: list
+    occ: list
+    prev: list
+    plans: list
+    reach: int
 
 
 class IndexSequence:
@@ -111,6 +134,7 @@ class IndexSequence:
         self.cycle = cycle
         self.seq_id = str(_reduced(prefix, cycle))  # a str, whose hash is cached
         self._indices = []
+        self._tables = None
 
     def at(self, k: int) -> int:
         """Index at position k >= 1."""
@@ -134,6 +158,23 @@ class IndexSequence:
     def scan_bound(self, support_len: int) -> int:
         """Position after which every maximized quantity is constant."""
         return max(support_len, len(self.prefix)) + len(self.cycle)
+
+    def tables(self, support: int) -> SequenceTables:
+        """Tables covering ``scan_bound(support)``, built once and rebuilt
+        only when a longer support arrives."""
+        t = self._tables
+        if t is None or support > t.reach:
+            idx = self.indices(self.scan_bound(support))
+            occ, prev = [[] for _ in range(self.datum.size)], []
+            for k, i in enumerate(idx, start=1):
+                prev.append(occ[i][-1] if occ[i] else 0)
+                occ[i].append(k)
+            rows = [list(map(row.__getitem__, idx)) for row in self.datum.cartan]
+            plans = [(r, o, is_real, a_ii)
+                     for r, o, (is_real, a_ii, _) in zip(rows, occ, self.datum.index_rows)]
+            reach = len(idx) - len(self.cycle)
+            t = self._tables = SequenceTables(idx, rows, occ, prev, plans, reach)
+        return t
 
     def __repr__(self):
         return f"IndexSequence{self.seq_id}"
@@ -250,8 +291,6 @@ class StringCrystal(Crystal):
         self.seq = seq
         self._size = datum.size
         self._zero_lam = (0,) * datum.size
-        self._plans = None  # per index, the plan _index_stats reads
-        self._reach = -1  # the longest support the plans cover
         self._weights = {}  # root coordinates -> the one Weight built for them
         self._scanned = (None, None)  # the last x eps/phi/e/f read, each index's stats
 
@@ -279,27 +318,11 @@ class StringCrystal(Crystal):
             w = self._weights[rt] = tuple.__new__(Weight, (self._zero_lam, rt))
         return w
 
-    def _plans_for(self, n) -> list:
-        """The per-index plans covering strings of length <= n, rebuilt
-        only when a longer string arrives.  Plans built for a shorter
-        index array stay valid when the sequence regrows it, since the
-        shorter array is a prefix of the longer one."""
-        if n > self._reach:
-            seq = self.seq
-            idx = seq.indices(seq.scan_bound(n))
-            occurrences = [[] for _ in range(self._size)]
-            for k, ik in enumerate(idx, start=1):
-                occurrences[ik].append(k)
-            self._plans = [(list(map(row.__getitem__, idx)), occ, is_real, a_ii)
-                           for (is_real, a_ii, row), occ in zip(self.datum.index_rows, occurrences)]
-            self._reach = len(idx) - len(seq.cycle)  # scan_bound(n) <= len(idx) iff n <= reach
-        return self._plans
-
     def _scan(self, x) -> list:
         """Every index's ``_index_stats`` of x, kept for the next call.
         The entry holds x itself, so its identity cannot be reused."""
         if self._scanned[0] is not x:
-            self._scanned = x, [_index_stats(plan, x) for plan in self._plans_for(len(x))]
+            self._scanned = x, [_index_stats(plan, x) for plan in self.seq.tables(len(x)).plans]
         return self._scanned[1]
 
     def eps(self, i, b):
@@ -335,7 +358,7 @@ class StringCrystal(Crystal):
         x = b.x
         bump = self._bump
         eps, phi, e, f = [], [], [], []
-        for plan in self._plans_for(len(x)):
+        for plan in self.seq.tables(len(x)).plans:
             eps_i, phi_i, lower, upper = _index_stats(plan, x)
             eps.append(eps_i)
             phi.append(phi_i)

@@ -242,7 +242,7 @@ def cmd_oracle_rank2(args) -> int:
         lam, member = None, lambda x: rank2_member(x, params)
     else:
         lam = _dominant_lambda(datum, args.lam)
-        member = lambda x: rank2_highest_weight_member(x, params, datum, lam)
+        member = lambda x: rank2_highest_weight_member(x, params, lam)
     report = compare_predicate_with_bfs(member, datum, seq, args.depth, lam=lam)
     return _oracle_outcome(f"oracle-rank2 a={a} b={b} c={c}", report, args.out)
 

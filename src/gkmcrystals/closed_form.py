@@ -35,9 +35,12 @@ member has no zero strictly between position 1 and its last nonzero
 position (``rank2_member`` has the proof), so one C-level scan turns
 away all but 255 of the 245,157 strings of the depth-7 box.
 
-The conditions are table-driven, so one test costs O(support): they
-read tables of the sequence's index array (real slots, previous
-occurrences, Cartan entries along the sequence).  The per-family,
+The conditions are table-driven: they read the sequence's tables,
+``IndexSequence.tables``, which the string crystal reads too (the Cartan
+entries along the sequence, the positions of each index and the previous
+occurrence at each position).  The real slots are the positions of
+index 0, and the last real slot before a position is one ``bisect``
+away.  The per-family,
 position-by-position references they replace and the box built string
 by string are kept in ``tests/closed_form_reference.py``, and
 differential tests diff each against its replacement.
@@ -46,15 +49,17 @@ differential tests diff each against its replacement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress
 from operator import mul
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int, make_datum
 from .binfinity import (
     IndexSequence,
     MonsterParams,
+    SequenceTables,
     cyclic_sequence,
     monster_block_sequence,
     monster_real_position,
@@ -89,8 +94,7 @@ def rank2_datum(p: Rank2Params) -> BorcherdsCartanDatum:
 
 @lru_cache
 def _rank2_model(p: Rank2Params) -> _StringModel:
-    datum = rank2_datum(p)
-    return _StringModel(datum, cyclic_sequence(datum))
+    return _StringModel(cyclic_sequence(rank2_datum(p)))
 
 
 def rank2_member(x, p: Rank2Params) -> bool:
@@ -115,7 +119,7 @@ def rank2_member(x, p: Rank2Params) -> bool:
     return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x)
 
 
-def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
+def rank2_highest_weight_member(x, p: Rank2Params, lam: Weight) -> bool:
     """Membership for the highest-weight component, dominant lam:
 
       (a) 0 <= x_1 <= <h_1, lam>;
@@ -128,8 +132,7 @@ def rank2_highest_weight_member(x, p: Rank2Params, datum, lam: Weight) -> bool:
     applies to it as well; that is (b), ``MonsterModel``'s (b) over the
     cyclic sequence.  Dropping it admits strings the component provably
     avoids (e.g. (1, 1, 1) for a = 1, <h_1, lam> = 1, <h_2, lam> = 0,
-    whose only lowering path would pass through the excluded (0, 1)).
-    ``datum`` must be ``rank2_datum(p)`` (kept for compatibility)."""
+    whose only lowering path would pass through the excluded (0, 1))."""
     return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x, lam)
 
 
@@ -147,61 +150,26 @@ def monster_datum(p: MonsterParams) -> BorcherdsCartanDatum:
     return make_datum(names, matrix)
 
 
-class _SequenceTables:
-    """Per-position tables of a string model's datum along the index
-    array ``idx`` of its sequence (position p holds x_{p+1}):
+def _gate_slack(t: SequenceTables, x, n: int) -> int:
+    """Slack of the supporting inequality (ii) at real slot n, read off
+    the tables ``t`` of the sequence:
 
-    * ``idx[p]``    the index i_{p+1};
-    * ``prev[p]``   the previous position carrying the same index, -1 if
-      there is none;
-    * ``pair[i][p]`` the Cartan entry a(i, i_{p+1}); ``pair[0]`` is row 0
-      read along the sequence;
-    * ``real``      the real slots, the positions of index 0 in ``idx``,
-      then ``len(idx)`` standing in for every slot past the array;
-    * ``slots[p]``  the number of real slots at positions <= p.
-    """
+        -(sum_{b(n)<l<b(n+1)} <h_real, alpha_{i_l}> x_l) - x_{b(n+1)},
 
-    def __init__(self, datum, idx: list):
-        self.idx = idx
-        self.pair = [[row[i] for i in idx] for row in datum.cartan]
-        last = {}
-        self.prev = prev = []
-        for p, i in enumerate(idx):
-            prev.append(last.get(i, -1))
-            last[i] = p
-        self.real = [p for p, i in enumerate(idx) if i == 0] + [len(idx)]
-        self.slots = list(accumulate(i == 0 for i in idx))
-
-    def gate_slack(self, x, n: int) -> int:
-        """Slack of the supporting inequality (ii) at real slot n:
-
-            -(sum_{b(n)<l<b(n+1)} <h_real, alpha_{i_l}> x_l) - x_{b(n+1)},
-
-        with entries beyond the support read as zero."""
-        lo, hi = self.real[n] + 1, self.real[n + 1]
-        return -sum(map(mul, self.pair[0][lo:hi], x[lo:hi])) - (x[hi] if hi < len(x) else 0)
+    with entries beyond the support read as zero."""
+    real = t.occ[0]
+    lo, hi = real[n], real[n + 1] - 1  # x[lo:hi] holds x_l for b(n) < l < b(n+1)
+    return -sum(map(mul, t.rows[0][lo:hi], x[lo:hi])) - (x[hi] if hi < len(x) else 0)
 
 
 class _StringModel:
-    """A datum whose only real index is 0 over a sequence starting with
-    it; ``_conditions`` reads strings against tables of the sequence,
-    rebuilt whenever ``sequence.indices`` returns another array."""
+    """A sequence starting with 0, the only real index of its datum;
+    ``_conditions`` reads strings against the sequence's tables, whose
+    real slots b(n) are the positions of index 0."""
 
-    def __init__(self, datum, sequence: IndexSequence):
-        self.datum = datum
+    def __init__(self, sequence: IndexSequence):
+        self.datum = sequence.datum
         self.sequence = sequence
-        self._tables = None
-
-    def _tables_for(self, length: int) -> _SequenceTables:
-        """Tables of the current sequence over at least ``length`` + 1
-        positions, so that ``real`` ends past the support even for the
-        empty string.  Real slots are read off the index array; the b(n)
-        formula of ``MonsterModel.real_position`` only checks them."""
-        idx = self.sequence.indices(length + 1)
-        t = self._tables
-        if t is None or t.idx is not idx:
-            t = self._tables = _SequenceTables(self.datum, idx)
-        return t
 
     def _conditions(self, x, lam=None) -> bool:
         """(ii) and (iii) of ``MonsterModel.member``, (i) being (ii) at
@@ -209,29 +177,30 @@ class _StringModel:
         with <h_i, lam> = 0, whose budgets are read only once every other
         condition holds (without lam, none binds)."""
         support = len(x)
-        t = self._tables_for(support)
-        real, row0 = t.real, t.pair[0]
+        t = self.sequence.tables(support + 1)  # real[n + 1] exists past the support, even for ()
+        real, row0 = t.occ[0], t.rows[0]
         n = 0
-        while real[n + 1] < support:  # t.gate_slack(x, n) < 0, inlined: the hot loop
-            lo, hi = real[n] + 1, real[n + 1]
+        while real[n + 1] <= support:  # _gate_slack(t, x, n) < 0, inlined: the hot loop
+            lo, hi = real[n], real[n + 1] - 1
             if x[hi] and -sum(map(mul, row0[lo:hi], x[lo:hi])) < x[hi]:  # a zero needs no mass
                 return False
             n += 1
-        idx, prev = t.idx, t.prev
+        idx, prev, rows = t.idx, t.prev, t.rows
         unpaid = []  # first occurrences that (iii) rejects unless lam pays
         for k in compress(range(support), x):
-            i, start = idx[k], prev[k] + 1  # start: just after the previous occurrence of i
+            i, start = idx[k], prev[k]  # start: just after the previous occurrence of i
             if i == 0 or start == 0 and lam is None:
                 continue
-            held = sum(map(mul, t.pair[i][start:k], x[start:k])) < 0
+            held = sum(map(mul, rows[i][start:k], x[start:k])) < 0
             if held and all(x[l] == 0 for l in range(start, k) if idx[l] != 0):
-                n = t.slots[k - 1] - 1  # the last real slot before k
-                if start and t.slots[start - 1] != n:
+                n = bisect_right(real, k) - 1  # the last real slot before k
+                first = bisect_right(real, start)  # the first real slot after start
+                if start and first != n:
                     raise MonsterConditionError(
                         f"expected one real slot in ({start}, {k + 1}), "
-                        f"found {list(range(t.slots[start - 1], n + 1))}"
+                        f"found {list(range(first, n + 1))}"
                     )
-                held = t.gate_slack(x, n) > 0
+                held = _gate_slack(t, x, n) > 0
             if not held:
                 if start:
                     return False
@@ -248,7 +217,7 @@ class MonsterModel(_StringModel):
     def __init__(self, params: MonsterParams):
         self.params = params
         datum = monster_datum(params)
-        super().__init__(datum, monster_block_sequence(datum, params.level, params.multiplicities))
+        super().__init__(monster_block_sequence(datum, params.level, params.multiplicities))
 
     def real_position(self, n: int) -> int:
         return monster_real_position(n, self.params.multiplicities)

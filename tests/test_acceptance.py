@@ -107,7 +107,7 @@ def test_criterion_04_rank2_highest_weight_oracle():
     edge_case_present = False
     for p, datum, seq, lam in rank2_hw_configs():
         report = G.compare_predicate_with_bfs(
-            lambda x: G.rank2_highest_weight_member(x, p, datum, lam),
+            lambda x: G.rank2_highest_weight_member(x, p, lam),
             datum, seq, 6, lam=lam,
         )
         if not report.ok:

@@ -52,16 +52,16 @@ class TestRank2HighestWeight:
     def test_budget_bound(self, d1):
         p = G.Rank2Params(1, 1, 0)
         lam = d1.weight(lam=[1, 0])
-        assert not G.rank2_highest_weight_member((2,), p, d1, lam)
-        assert G.rank2_highest_weight_member((), p, d1, lam)
-        assert G.rank2_highest_weight_member((1,), p, d1, lam)
+        assert not G.rank2_highest_weight_member((2,), p, lam)
+        assert G.rank2_highest_weight_member((), p, lam)
+        assert G.rank2_highest_weight_member((1,), p, lam)
 
     def test_imaginary_needs_license(self, d1):
         p = G.Rank2Params(1, 1, 0)
         zero2 = d1.weight(lam=[1, 0])
         one2 = d1.weight(lam=[1, 1])
-        assert not G.rank2_highest_weight_member((0, 1), p, d1, zero2)
-        assert G.rank2_highest_weight_member((0, 1), p, d1, one2)
+        assert not G.rank2_highest_weight_member((0, 1), p, zero2)
+        assert G.rank2_highest_weight_member((0, 1), p, one2)
 
     def test_strict_gate_when_unlicensed(self, d1):
         p = G.Rank2Params(1, 1, 0)
@@ -69,9 +69,9 @@ class TestRank2HighestWeight:
         one2 = d1.weight(lam=[1, 1])
         # with <h_2, lam> = 0 the first imaginary entry also needs the
         # strict gate a x_2 - x_3 > 0
-        assert not G.rank2_highest_weight_member((1, 1, 1), p, d1, zero2)
-        assert G.rank2_highest_weight_member((1, 1, 1), p, d1, one2)
-        assert G.rank2_highest_weight_member((1, 2, 1), p, d1, zero2)
+        assert not G.rank2_highest_weight_member((1, 1, 1), p, zero2)
+        assert G.rank2_highest_weight_member((1, 1, 1), p, one2)
+        assert G.rank2_highest_weight_member((1, 2, 1), p, zero2)
 
 
 class TestRank2SupportShape:
@@ -170,12 +170,10 @@ class TestMonsterModel:
     @pytest.mark.parametrize("level,mults", [(2, (2, 1)), (3, (1, 1, 1)), (2, (1, 1))])
     def test_real_slots_read_off_the_sequence(self, level, mults):
         model = G.MonsterModel(G.MonsterParams(level, mults))
-        for length in (0, 20, 100):
-            t = model._tables_for(length)
-            *slots, end = t.real
-            assert end == len(t.idx)
-            formula = [model.real_position(k) - 1 for k in range(len(t.idx))]
-            assert slots == [p for p in formula if p < len(t.idx)]
+        for n in (0, 20, 100):
+            t = model.sequence.tables(n)
+            formula = [model.real_position(k) for k in range(len(t.idx))]
+            assert t.occ[0] == [b for b in formula if b <= len(t.idx)]
 
     def test_uniqueness_guard_does_not_fire_on_block_sequences(self, toy_monster):
         for x in iter_bounded_strings(14, 3):
@@ -212,7 +210,7 @@ def test_closed_form_sweep(family, params, lam, depth):
         if lam is None:
             member = lambda x: G.rank2_member(x, p)
         else:
-            member = lambda x: G.rank2_highest_weight_member(x, p, datum, lam)
+            member = lambda x: G.rank2_highest_weight_member(x, p, lam)
     else:
         model = G.MonsterModel(G.MonsterParams(*params))
         datum, seq = model.datum, model.sequence
@@ -266,7 +264,7 @@ class TestOracleCompare:
         p = G.Rank2Params(1, 1, 0)
         lam = d1.weight(lam=[1, 0])
         report = G.compare_predicate_with_bfs(
-            lambda x: G.rank2_highest_weight_member(x, p, d1, lam),
+            lambda x: G.rank2_highest_weight_member(x, p, lam),
             d1, G.cyclic_sequence(d1), 4, lam=lam,
         )
         assert report.ok, report.summary()
@@ -298,7 +296,7 @@ class TestOracleCompare:
         if lam is None:
             member = lambda x: G.rank2_member(x, p)
         else:
-            member = lambda x: G.rank2_highest_weight_member(x, p, datum, lam)
+            member = lambda x: G.rank2_highest_weight_member(x, p, lam)
 
         def compare():
             return G.compare_predicate_with_bfs(member, datum, G.cyclic_sequence(datum), 5, lam=lam)

@@ -52,7 +52,7 @@ def test_rank2_highest_weight_member_matches_reference(abc):
     for h1, h2 in RANK2_LAMBDAS:
         lam = datum.weight(lam=[h1, h2])
         bad = disagreements(
-            lambda x: G.rank2_highest_weight_member(x, p, datum, lam),
+            lambda x: G.rank2_highest_weight_member(x, p, lam),
             lambda x: ref.rank2_highest_weight_member(x, p, datum, lam),
             strings,
         )

@@ -49,6 +49,21 @@ def explicit_with_prefix():
     return d1, G.explicit_sequence(d1, [1, 1, 0], [0, 1])
 
 
+def cyclic_rank2(*abc):
+    datum = G.rank2_datum(G.Rank2Params(*abc))
+    return datum, G.cyclic_sequence(datum)
+
+
+def imaginary_only():
+    datum = make_imaginary_only()
+    return datum, G.cyclic_sequence(datum)
+
+
+def huge():
+    datum = make_huge()
+    return datum, G.cyclic_sequence(datum)
+
+
 @pytest.mark.parametrize("abc", [(1, 1, 0), (1, 2, 2), (2, 1, 4), (3, 3, 2)],
                          ids=lambda abc: "%d%d%d" % abc)
 def test_rank2_binfinity(abc):
@@ -81,11 +96,6 @@ def test_monster_highest_weight_carrier():
     assert disagreements(strings, {elt.factors[0] for elt in graph.elements()}) == []
 
 
-def cyclic_rank2(*abc):
-    datum = G.rank2_datum(G.Rank2Params(*abc))
-    return datum, G.cyclic_sequence(datum)
-
-
 @pytest.mark.parametrize("make", [
     lambda: cyclic_rank2(1, 1, 0),
     lambda: cyclic_rank2(2, 1, 4),
@@ -98,10 +108,16 @@ def test_box_strings(make):
     assert disagreements(crystal, box_strings(crystal)) == []
 
 
-@pytest.mark.parametrize("make", [explicit_with_prefix, lambda: monster(3, (1, 1, 1))],
-                         ids=["explicit", "monster"])
+@pytest.mark.parametrize("make", [
+    explicit_with_prefix,
+    lambda: monster(3, (1, 1, 1)),
+    huge,
+    lambda: cyclic_rank2(2, 1, 4),  # not symmetric: rows are rows, not columns
+], ids=["explicit", "monster", "huge", "rank2-214"])
 def test_index_array_matches_at(make):
-    seq = make()[1]
+    """The index array and the tables read along it against ``seq.at``
+    and the datum, position by position, as both grow out of order."""
+    datum, seq = make()
     previous = 0
     for n in (0, 1, 5, 17, 3, 40, 41, 100, 7, 333):
         idx = seq.indices(n)
@@ -109,17 +125,25 @@ def test_index_array_matches_at(make):
         assert idx[:n] == [seq.at(k) for k in range(1, n + 1)]
         if len(idx) > previous > 0:
             assert len(idx) >= 2 * previous
-        previous = len(idx)
-
-
-def imaginary_only():
-    datum = make_imaginary_only()
-    return datum, G.cyclic_sequence(datum)
-
-
-def huge():
-    datum = make_huge()
-    return datum, G.cyclic_sequence(datum)
+        t = seq.tables(n)
+        assert seq.scan_bound(n) <= len(t.idx)
+        assert n <= t.reach == len(t.idx) - len(seq.cycle)
+        at = [seq.at(k) for k in range(1, len(t.idx) + 1)]
+        assert t.idx == at
+        for i in datum.indices():
+            assert t.rows[i] == [datum.a(i, j) for j in at]
+            assert t.occ[i] == [k for k, j in enumerate(at, start=1) if j == i]
+            assert t.plans[i] == (t.rows[i], t.occ[i], datum.is_real(i), datum.a(i, i))
+        for k, i in enumerate(at, start=1):
+            assert t.prev[k - 1] == next((l for l in range(k - 1, 0, -1) if at[l - 1] == i), 0)
+        assert all(seq.tables(m) is t for m in (0, n, t.reach))
+        previous = len(seq.indices(0))
+    # the first tables of this block sequence hold one real slot, and the
+    # closed-form conditions read the next one even for the empty string
+    model = G.MonsterModel(G.MonsterParams(1, (15,)))
+    assert len(model.sequence.tables(0).occ[0]) == 1
+    assert model.member(())
+    assert model.highest_weight_member((), model.datum.fundamental(0))
 
 
 @pytest.mark.parametrize("make, depth", [
@@ -161,25 +185,30 @@ def test_tables_follow_a_regrown_index_array(make):
 
 
 def test_plans_survive_a_regrowth_by_another_crystal():
-    """Two crystals share one Monster block sequence, which has a prefix.
-    One regrows the index array past the plans of the other; the other's
-    plans, built for the shorter array, still serve every string they
-    cover, the longest ones included, and a longer string makes it
-    build new ones."""
+    """Two crystals share one Monster block sequence, which has a prefix,
+    and so share its tables.  The weights of one regrow the index array
+    past the tables (``wt`` reads ``indices``); the tables, built for
+    the shorter array, still serve every string they cover, the longest
+    ones included, and a longer string makes the sequence build new ones."""
     datum, seq = monster(2, (2, 1))
     assert seq.prefix
     grower, keeper = G.StringCrystal(datum, seq), G.StringCrystal(datum, seq)
     keeper.stats(keeper.zero())
+    tables = seq.tables(0)
     short = len(seq.indices(0))
-    reach = short - len(seq.cycle)  # the longest support the keeper's plans cover
-    edge = [keeper.element((0,) * (n - 2) + tail)
-            for n in (reach - 1, reach, reach + 1, reach + 2)
-            for tail in product(range(3), repeat=2)]
+    reach = short - len(seq.cycle)  # the longest support the tables cover
+    covered, edge = ([keeper.element((0,) * (n - 2) + tail)
+                      for n in lengths for tail in product(range(3), repeat=2)]
+                     for lengths in ((reach - 1, reach), (reach + 1, reach + 2)))
     long = [grower.element((1,) + (0,) * (2 * short) + tail)
             for tail in product(range(3), repeat=2)]
-    assert disagreements(grower, long) == []
+    for b in long:
+        grower.wt(b)
     assert len(seq.indices(0)) > 2 * short
+    assert disagreements(keeper, covered) == []
+    assert seq.tables(reach) is tables
     assert disagreements(keeper, edge) == []
+    assert disagreements(grower, long) == []
     assert disagreements(keeper, long) == []
 
 
