@@ -14,9 +14,15 @@ builds both bracketings afresh and folds them from their leaves.
 ``left_nested_tree`` builds the explicit bracket tree of a flat
 product element, for diffing ``TensorCrystal.stats`` against
 ``bracket_stats``.
+
+``pair_stats`` is the library's pair step as it was before it made one
+pass per index: eps and phi column by column, with -inf entries going
+through ``NegInfinity``'s arithmetic, and the sides once per index with
+``_replaced`` building the targets (``test_pair_stats_differential.py``).
 """
 
 from itertools import product
+from operator import add, sub
 
 from gkmcrystals import TensorElement
 from gkmcrystals.checks import CheckReport
@@ -139,6 +145,32 @@ def _raise(datum, i, pairs):
         return None if parts is None else parts + [elt]
     r = crystal.e(i, elt)
     return None if r is None else [p[1] for p in left] + [r]
+
+
+def pair_stats(datum, left, right, left_stats, right_stats):
+    """The statistics of left ⊗ right, given as leaf tuples, from its
+    children's: the signature rule of ``gkmcrystals.tensor``, eps and
+    phi column by column and the sides once per index; a pair's pairing
+    vector is the sum of its children's."""
+    lwt, leps, lphi, lup, ldown, lpv = left_stats
+    rwt, reps, rphi, rup, rdown, rpv = right_stats
+    e, f = [], []
+    for i, (is_real, a_ii, _) in enumerate(datum.index_rows):
+        side = raising_side(is_real, a_ii, lphi[i], reps[i])
+        e.append(_replaced(side, left, right, lup[i], rup[i]))
+        f.append(_replaced(lowering_side(lphi[i], reps[i]), left, right, ldown[i], rdown[i]))
+    return (lwt + rwt, tuple(map(max, leps, map(sub, reps, lpv))),
+            tuple(map(max, map(add, lphi, rpv), rphi)), tuple(e), tuple(f),
+            tuple(map(add, lpv, rpv)))
+
+
+def _replaced(side, left, right, left_target, right_target):
+    """left + right with the picked side replaced by its target, or None."""
+    if side == LEFT and left_target is not None:
+        return left_target + right
+    if side == RIGHT and right_target is not None:
+        return left + right_target
+    return None
 
 
 def verify_associativity(g1, g2, g3) -> CheckReport:
