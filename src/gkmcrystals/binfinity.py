@@ -42,9 +42,12 @@ one C-level prefix-sum pass over a string: for a real index, eps_i,
 phi_i and both maximizing positions at the occurrences of i in the
 support and the first one past it; for an imaginary index, the lowering
 slot (the first occurrence whose prefix sum equals the total) and the
-raising test there.  ``stats`` runs it once per index; eps, phi, e and
-f share its runs over the last string they read (held by identity), so
-a product leaf read through them costs one run per index, not four.
+raising test there.  ``stats`` runs it once per index and builds the
+lowering targets in place (adding 1 leaves no negative entry and no
+trailing zero); raising targets, and the scalar e and f, go through
+``_bump``.  eps, phi, e and f share its runs over the last string they
+read (held by identity), so a product leaf read through them costs one
+run per index, not four.
 phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
 so that identity, which ``check_axioms`` verifies, stays a check.
 Each distinct weight is built once per crystal and handed out again.
@@ -356,14 +359,18 @@ class StringCrystal(Crystal):
 
     def stats(self, b):
         x = b.x
-        bump = self._bump
+        n = len(x)
+        bump, new, seq_id = self._bump, tuple.__new__, self.seq.seq_id
         eps, phi, e, f = [], [], [], []
-        for plan in self.seq.tables(len(x)).plans:
+        for plan in self.seq.tables(n).plans:
             eps_i, phi_i, lower, upper = _index_stats(plan, x)
             eps.append(eps_i)
             phi.append(phi_i)
             e.append(bump(x, upper, -1) if upper else None)
-            f.append(bump(x, lower, +1))
+            # f_i x, canonical as built: 1 added at ``lower``
+            y = (x + (0,) * (lower - n - 1) + (1,) if lower > n
+                 else x[:lower - 1] + (x[lower - 1] + 1,) + x[lower:])
+            f.append(new(StringElement, (y, seq_id)))
         return self.wt(b), tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
@@ -433,18 +440,22 @@ def audit_binfinity_truncation(graph) -> list:
     """Problems of a realization's truncation, [] if none.  With top the root's
     weight (0 in B(infinity), lambda in B(lambda)): raising stays inside the
     component, all weights lie in top - Q+, the root is the only node of weight
-    top, and every other node can be raised.  Weights print relative to top."""
+    top, and every other node can be raised.  Weights print relative to top.
+    Whether a weight lies in top - Q+ is decided once per distinct weight,
+    the rest per node; problems come in node order."""
     problems = []
     if graph.closure_failures:
         problems.append(f"raising escapes the component: {graph.closure_failures[:3]}")
     root, size = graph.root, graph.datum.size
     top_lam, top_rt = top = graph.nodes[root].wt
     tops = []
+    outside = {w for w in {node.wt for node in graph.nodes}
+               if w.lam != top_lam or any(map(gt, w.rt, top_rt))}
     for u, node in enumerate(graph.nodes):
         w = node.wt
         if w == top:
             tops.append(u)
-        elif w.lam != top_lam or any(map(gt, w.rt, top_rt)):
+        elif w in outside:
             problems.append(f"node {u} has weight outside -Q+: {w - top}")
         if node.e_ids.count(None) == size and u != root:
             problems.append(f"non-root node {u} admits no raising")

@@ -89,44 +89,62 @@ def check_axioms(graph) -> CheckReport:
         weight step wt b' = wt b + s alpha_i, statistic step (eps -s, phi
         +s) for real i and (eps constant, phi + s a_ii) for imaginary i,
         and duality: the reverse fan of b' leads back to b.
+
+    <h_i, wt b> and each wt b + s alpha_i are computed once per weight
+    object, when first read, in a table keyed by identity (the nodes hold
+    the objects).  Generated graphs share one object per weight.
     """
     validate_structure(graph)
     datum = graph.datum
+    size = datum.size
     rep = CheckReport()
-    steps = []  # per index and direction: (law, fan, reverse fan, s alpha_i, s d_eps, s d_phi)
-    for i in datum.indices():
+    checked = skipped = 0  # kept local, stored on the report at the end
+    steps = []  # per index and direction: (law, fan, reverse fan, s alpha_i, s d_eps, s d_phi, slot)
+    for i in range(size):
         alpha = datum.alpha(i)
         d_eps, d_phi = (-1, 1) if datum.is_real(i) else (0, datum.a(i, i))
-        steps.append([(law, fan, back, alpha.scaled(s), s * d_eps, s * d_phi)
-                      for law, s, fan, back in _DIRECTIONS])
+        steps.append([(law, fan, back, alpha if s > 0 else -alpha,  # s = +-1
+                       s * d_eps, s * d_phi, size + 2 * i + k)
+                      for k, (law, s, fan, back) in enumerate(_DIRECTIONS)])
+    blank = [None] * (3 * size)  # <h_i, wt> at slot i, wt + s alpha_i at its step's slot
+    tables = {}
     for u, node in enumerate(graph.nodes):
-        for i in datum.indices():
+        wt = node.wt
+        table = tables.get(id(wt))
+        if table is None:
+            table = tables[id(wt)] = blank.copy()
+        for i in range(size):
             eps_u, phi_u = node.eps[i], node.phi[i]
 
-            rep.checked += 1
-            expected_phi = eps_u + datum.pairing(i, node.wt)
+            checked += 1
+            pairing = table[i]
+            if pairing is None:
+                pairing = table[i] = datum.pairing(i, wt)
+            expected_phi = eps_u + pairing
             if phi_u != expected_phi:
                 rep.add(u, i, "phi_eps_pairing", expected_phi, phi_u)
 
             if is_neg_inf(phi_u):
                 for entry in (node.e_ids[i], node.f_ids[i]):
                     if entry is CUT:
-                        rep.skipped += 1
+                        skipped += 1
                     else:
-                        rep.checked += 1
+                        checked += 1
                         if entry is not None:
                             rep.add(u, i, "neg_inf_dead_end", None, entry)
 
-            for law, fan, back_fan, step, d_eps, d_phi in steps[i]:
+            for law, fan, back_fan, step, d_eps, d_phi, slot in steps[i]:
                 v = getattr(node, fan)[i]
                 if v is CUT:
-                    rep.skipped += 1
+                    skipped += 1
                     continue
                 if v is None:
                     continue
                 nb = graph.nodes[v]
-                rep.checked += 2
-                want_wt = node.wt + step
+                checked += 2
+                want_wt = table[slot]
+                if want_wt is None:
+                    want_wt = table[slot] = wt + step
                 if nb.wt != want_wt:
                     rep.add(u, i, f"{law}_weight_step", want_wt, nb.wt)
                 want = (eps_u + d_eps, phi_u + d_phi)
@@ -135,11 +153,12 @@ def check_axioms(graph) -> CheckReport:
                     rep.add(u, i, f"{law}_stat_step", want, got)
                 back = getattr(nb, back_fan)[i]
                 if back is CUT:
-                    rep.skipped += 1
+                    skipped += 1
                 else:
-                    rep.checked += 1
+                    checked += 1
                     if back != u:
                         rep.add(u, i, "ef_duality", u, back)
+    rep.checked, rep.skipped = checked, skipped
     return rep
 
 
@@ -193,6 +212,7 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
     rep = CheckReport()
     mapping = witness.mapping
     shift = witness.weight_shift if witness.weight_shift is not None else datum.zero_weight()
+    shift_pairings = [datum.pairing(i, shift) for i in datum.indices()]
 
     for u, node in enumerate(src.nodes):
         if u not in mapping:
@@ -212,7 +232,7 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
             rep.checked += 2
             if img.eps[i] != node.eps[i]:
                 rep.add(u, i, "morphism_eps", node.eps[i], img.eps[i])
-            expected_phi = node.phi[i] - datum.pairing(i, shift)
+            expected_phi = node.phi[i] - shift_pairings[i]
             if img.phi[i] != expected_phi:
                 rep.add(u, i, "morphism_phi", expected_phi, img.phi[i])
 

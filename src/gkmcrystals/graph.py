@@ -21,9 +21,10 @@ result outside the node set is recorded in ``closure_failures`` (for a
 component, that indicates an operator bug).
 
 The JSON export is written directly, one format string per node and
-per edge; it is byte-identical to ``json.dumps`` of its payload with
-sorted keys, compact separators and ASCII escapes, and
-``graph_to_json_dict`` is its parse.
+per edge, with each distinct weight's text written once and reused; it
+is byte-identical to ``json.dumps`` of its payload with sorted keys,
+compact separators and ASCII escapes, and ``graph_to_json_dict`` is
+its parse.  The DOT export likewise writes each distinct label once.
 """
 
 from __future__ import annotations
@@ -274,16 +275,17 @@ def graph_to_json(graph) -> str:
         return ints % pick(values)
 
     parts = []
+    wt_texts = {w: '{"lam":[%s],"rt":[%s]}' % (",".join(map(str, w.lam)), ",".join(map(str, w.rt)))
+                for w in {node.wt for node in graph.nodes}}
     for k, node in enumerate(graph.nodes):
         parts.append(
-            '{"elt":%s,"eps":{%s},"frontier":%s,"id":%d,"phi":{%s},"wt":{"lam":[%s],"rt":[%s]}}' % (
+            '{"elt":%s,"eps":{%s},"frontier":%s,"id":%d,"phi":{%s},"wt":%s}' % (
                 encode_basestring_ascii(element_token(node.elt, datum)),
                 ext_map(node.eps),
                 "true" if node.frontier else "false",
                 k,
                 ext_map(node.phi),
-                ",".join(map(str, node.wt.lam)),
-                ",".join(map(str, node.wt.rt)),
+                wt_texts[node.wt],
             )
         )
     nodes = ",".join(parts)
@@ -301,10 +303,10 @@ def graph_to_dot(graph) -> str:
     edges labeled by the index name, quoted and escaped as a JSON string."""
     lines = ["digraph crystal {"]
     labels = [json.dumps(name, ensure_ascii=False) for name in graph.datum.index_names]
+    rt_labels = {rt: "[%s]" % ",".join(map(str, rt)) for rt in {node.wt.rt for node in graph.nodes}}
     for k, node in enumerate(graph.nodes):
-        label = "[%s]" % ",".join(map(str, node.wt.rt))
         shape = ' shape=box' if node.frontier else ""
-        lines.append('  n%d [label="%s"%s];' % (k, label, shape))
+        lines.append('  n%d [label="%s"%s];' % (k, rt_labels[node.wt.rt], shape))
     for u, i, v in graph.edges():
         lines.append('  n%d -> n%d [label=%s];' % (u, v, labels[i]))
     lines.append("}")

@@ -96,3 +96,23 @@ def test_relative_weights_in_messages(d1):
         f"node 1 has weight outside -Q+: {d1.alpha(0)}",
         "non-root node 1 admits no raising",
     ]
+
+
+def test_full_problem_lists(d1):
+    """The whole list, in order, for a second node of the root's weight
+    that admits no raising, and for two nodes sharing one weight outside
+    -Q+ (one Weight object, as generated graphs share them)."""
+    g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
+    g.nodes[1].wt = g.nodes[g.root].wt
+    g.nodes[1].e_ids = (None, None)
+    assert audit_binfinity_truncation(g) == [
+        "non-root node 1 admits no raising",
+        "weight-zero nodes [0, 1], expected exactly the root",
+    ]
+
+    g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
+    g.nodes[1].wt = g.nodes[2].wt = d1.alpha(0)
+    assert audit_binfinity_truncation(g) == [
+        f"node 1 has weight outside -Q+: {d1.alpha(0)}",
+        f"node 2 has weight outside -Q+: {d1.alpha(0)}",
+    ]

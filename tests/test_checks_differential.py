@@ -111,6 +111,20 @@ def corrupt_weight(graph):
         node.wt = node.wt + graph.datum.alpha(j)
 
 
+def move_lam(graph):
+    """One node's lam part moved and its rt kept: the first node whose
+    weight an earlier node shares (node 0 if none does), so that a table
+    keyed by the rt part alone would hand it its twin's entry."""
+    seen, k = set(), 0
+    for u, node in enumerate(graph.nodes):
+        if node.wt in seen:
+            k = u
+            break
+        seen.add(node.wt)
+    node = graph.nodes[k]
+    node.wt = node.wt + graph.datum.fundamental(k % graph.datum.size)
+
+
 def corrupt_fan(graph):
     n = len(graph.nodes)
     for k, node, j in _sites(graph, 3):
@@ -140,6 +154,7 @@ FAULTS = {
     "phi": corrupt_phi,
     "eps": corrupt_eps,
     "weight": corrupt_weight,
+    "lam": move_lam,
     "fan": corrupt_fan,
     "duality": break_duality,
     "dead-end": dead_end,

@@ -125,6 +125,17 @@ def test_hand_built_graph():
     assert_same_export(graph)
 
 
+def test_equal_root_parts_with_different_lam():
+    """Two nodes whose weights share their rt part and differ in lam each
+    print their own lam, whichever is written first."""
+    datum = make_d1()
+    rt = (-1, -2)
+    weights = [datum.weight(lam=(1, 0), rt=rt), datum.weight(lam=(0, 3), rt=rt),
+               datum.weight(lam=(1, 0), rt=rt)]
+    text = assert_same_export(manual_graph(datum, weights, [(0, 1, 1)]))
+    assert text.count('"lam":[1,0]') == 2 and text.count('"lam":[0,3]') == 1
+
+
 def test_escaped_names_in_the_payload():
     datum, seq, _ = escaped()
     payload = graph_to_json_dict(G.realize_binfinity(datum, seq, 1))
