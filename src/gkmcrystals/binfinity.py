@@ -42,12 +42,12 @@ one C-level prefix-sum pass over a string: for a real index, eps_i,
 phi_i and both maximizing positions at the occurrences of i in the
 support and the first one past it; for an imaginary index, the lowering
 slot (the first occurrence whose prefix sum equals the total) and the
-raising test there.  ``stats`` runs it once per index and builds the
-lowering targets in place (adding 1 leaves no negative entry and no
-trailing zero); raising targets, and the scalar e and f, go through
-``_bump``.  eps, phi, e and f share its runs over the last string they
-read (held by identity), so a product leaf read through them costs one
-run per index, not four.
+raising test there.  ``stats`` runs it once per index and is the one
+builder of the operator targets: f_i adds 1 at the lowering slot (no
+negative entry, no trailing zero), e_i takes 1 from the positive entry
+at the raising slot and strips trailing zeros.  eps, phi, e and f read
+their entry of the last element's ``stats`` (held by identity), so a
+product leaf read through them costs one ``stats``, not four.
 phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
 so that identity, which ``check_axioms`` verifies, stays a check.
 Each distinct weight is built once per crystal and handed out again.
@@ -295,7 +295,7 @@ class StringCrystal(Crystal):
         self._size = datum.size
         self._zero_lam = (0,) * datum.size
         self._weights = {}  # root coordinates -> the one Weight built for them
-        self._scanned = (None, None)  # the last x eps/phi/e/f read, each index's stats
+        self._last = (None, None)  # the last element eps/phi/e/f read, its stats
 
     def zero(self) -> StringElement:
         return StringElement((), self.seq.seq_id)
@@ -321,52 +321,41 @@ class StringCrystal(Crystal):
             w = self._weights[rt] = tuple.__new__(Weight, (self._zero_lam, rt))
         return w
 
-    def _scan(self, x) -> list:
-        """Every index's ``_index_stats`` of x, kept for the next call.
-        The entry holds x itself, so its identity cannot be reused."""
-        if self._scanned[0] is not x:
-            self._scanned = x, [_index_stats(plan, x) for plan in self.seq.tables(len(x)).plans]
-        return self._scanned[1]
+    def _read(self, b) -> tuple:
+        """``stats(b)``, kept for the next call.  The entry holds b
+        itself, so its identity cannot be reused."""
+        if self._last[0] is not b:
+            self._last = b, self.stats(b)
+        return self._last[1]
 
     def eps(self, i, b):
-        return self._scan(b.x)[i][0]
+        return self._read(b)[1][i]
 
     def phi(self, i, b):
-        return self._scan(b.x)[i][1]
-
-    def _bump(self, x, k, delta) -> StringElement:
-        """x with delta added at position k, zero-padded or stripped of
-        trailing zeros into canonical form.  x is canonical, so the
-        result is too and skips the validating constructor; only an
-        entry driven below zero is checked."""
-        v = (x[k - 1] if k <= len(x) else 0) + delta
-        if v < 0:
-            raise ValueError(f"position {k} of {x} would go negative")
-        if k > len(x):
-            y = x + (0,) * (k - len(x) - 1) + (v,)
-        else:
-            y = x[:k - 1] + (v,) + x[k:]
-            while y and not y[-1]:
-                y = y[:-1]
-        return tuple.__new__(StringElement, (y, self.seq.seq_id))
-
-    def f(self, i, b):
-        return self._bump(b.x, self._scan(b.x)[i][2], +1)
+        return self._read(b)[2][i]
 
     def e(self, i, b):
-        slot = self._scan(b.x)[i][3]
-        return self._bump(b.x, slot, -1) if slot else None
+        return self._read(b)[3][i]
+
+    def f(self, i, b):
+        return self._read(b)[4][i]
 
     def stats(self, b):
         x = b.x
         n = len(x)
-        bump, new, seq_id = self._bump, tuple.__new__, self.seq.seq_id
+        new, seq_id = tuple.__new__, self.seq.seq_id
         eps, phi, e, f = [], [], [], []
         for plan in self.seq.tables(n).plans:
             eps_i, phi_i, lower, upper = _index_stats(plan, x)
             eps.append(eps_i)
             phi.append(phi_i)
-            e.append(bump(x, upper, -1) if upper else None)
+            if upper:  # e_i x: 1 taken at ``upper`` (a positive entry), trailing zeros stripped
+                y = x[:upper - 1] + (x[upper - 1] - 1,) + x[upper:]
+                while y and not y[-1]:
+                    y = y[:-1]
+                e.append(new(StringElement, (y, seq_id)))
+            else:
+                e.append(None)
             # f_i x, canonical as built: 1 added at ``lower``
             y = (x + (0,) * (lower - n - 1) + (1,) if lower > n
                  else x[:lower - 1] + (x[lower - 1] + 1,) + x[lower:])

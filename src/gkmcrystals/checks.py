@@ -212,6 +212,8 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
     rep = CheckReport()
     mapping = witness.mapping
     shift = witness.weight_shift if witness.weight_shift is not None else datum.zero_weight()
+    if len(shift.lam) != datum.size:
+        raise ValueError(f"weight shift has size {len(shift.lam)}, the datum {datum.size}")
     shift_pairings = [datum.pairing(i, shift) for i in datum.indices()]
 
     for u, node in enumerate(src.nodes):

@@ -224,20 +224,22 @@ def graph_from_universe(crystal, elements) -> CrystalGraph:
 
 def validate_structure(graph):
     """Raise GraphStructureError unless all node/edge tables are sane."""
-    n = len(graph.nodes)
+    n, size = len(graph.nodes), graph.datum.size
     if not 0 <= graph.root < n:
         raise GraphStructureError(f"root id {graph.root} out of range")
     for u, node in enumerate(graph.nodes):
         for label, fan in (("e", node.e_ids), ("f", node.f_ids)):
-            if fan is None or len(fan) != graph.datum.size:
+            if fan is None or len(fan) != size:
                 raise GraphStructureError(f"node {u} has a malformed {label}-fan")
             for v in fan:
                 if v is None or v is CUT:
                     continue
                 if not (isinstance(v, int) and 0 <= v < n):
                     raise GraphStructureError(f"node {u} {label}-edge to missing node {v!r}")
-        if node.eps is None or node.phi is None or len(node.eps) != graph.datum.size:
+        if node.eps is None or node.phi is None or not len(node.eps) == len(node.phi) == size:
             raise GraphStructureError(f"node {u} is missing cached statistics")
+        if not isinstance(node.wt, Weight) or len(node.wt.lam) != size:
+            raise GraphStructureError(f"node {u} has no weight of size {size}")
 
 
 def weight_token(w: Weight) -> str:

@@ -153,3 +153,14 @@ class TestCheckMorphism:
         wrong = MorphismWitness({0: 0, 1: 1}, weight_shift=d2.zero_weight())
         report = check_morphism(wrong, hw, binf)
         assert any(v.law in ("morphism_wt", "morphism_phi") for v in report.violations)
+
+    @pytest.mark.parametrize("mapping", [{0: 0}, {}], ids=["mapped", "unmapped"])
+    @pytest.mark.parametrize("size, text", [(2, "size 2, the datum 1"), (0, "size 0, the datum 1")],
+                             ids=["longer", "shorter"])
+    def test_weight_shift_of_another_size_raises(self, d2, mapping, size, text):
+        seq = G.cyclic_sequence(d2)
+        hw = G.realize_highest_weight(d2, seq, d2.weight(lam=[1]), 3)
+        binf = G.realize_binfinity(d2, seq, 3)
+        witness = MorphismWitness(mapping, weight_shift=G.Weight.zero(size))
+        with pytest.raises(ValueError, match=text):
+            check_morphism(witness, hw, binf)

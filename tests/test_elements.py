@@ -1,6 +1,6 @@
 """The tuple-backed element types ``StringElement`` and ``TensorElement``:
 their validating constructors, immutability, repr, copy and pickle, and
-value equality; and the operator targets that ``StringCrystal._bump`` and
+value equality; and the operator targets that ``StringCrystal.stats`` and
 ``TensorCrystal._flat`` build without re-validation, diffed against the
 validating constructors on whole generated graphs."""
 
@@ -131,14 +131,6 @@ class TestStringCrystalElement:
         crystal = G.StringCrystal(d1, G.cyclic_sequence(d1))
         assert crystal.element([1, 0, 0]).x == (1,)
         assert crystal.element([0, 0]).x == ()
-
-
-@pytest.mark.parametrize("x, k", [((0, 1), 1), ((1,), 3), ((), 1)],
-                         ids=["zero-entry", "past-the-support", "empty"])
-def test_bump_below_zero_raises(d1, x, k):
-    crystal = G.StringCrystal(d1, G.cyclic_sequence(d1))
-    with pytest.raises(ValueError):
-        crystal._bump(x, k, -1)
 
 
 def assert_validated_targets(crystal, elements, cls, args):

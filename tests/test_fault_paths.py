@@ -100,15 +100,16 @@ class TestTransportFault:
 
 class TestRaisingClosure:
     def _patch_raising(self, monkeypatch, raised):
-        """Make every nonzero raising of a string x return raised(x, y),
+        """Make every nonzero raising of a string b return raised(b.x, y),
         y being the correct result."""
-        bump = StringCrystal._bump
+        stats = StringCrystal.stats
 
-        def patched(self, x, k, delta):
-            y = bump(self, x, k, delta)
-            return raised(x, y) if delta < 0 else y
+        def patched(self, b):
+            wt, eps, phi, e, f = stats(self, b)
+            e = tuple(y if y is None else raised(b.x, y) for y in e)
+            return wt, eps, phi, e, f
 
-        monkeypatch.setattr(StringCrystal, "_bump", patched)
+        monkeypatch.setattr(StringCrystal, "stats", patched)
 
     def test_raising_out_of_the_component_is_an_audit_error(self, monkeypatch):
         def far(x, y):

@@ -204,6 +204,19 @@ class TestStructureValidation:
         with pytest.raises(G.GraphStructureError):
             validate_structure(g)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("phi", lambda node: node.phi[:1], "is missing cached statistics"),
+        ("wt", lambda node: None, "has no weight of size 2"),
+        ("wt", lambda node: G.Weight.zero(1), "has no weight of size 2"),
+    ], ids=["short-phi", "no-wt", "short-wt"])
+    def test_malformed_node_statistics(self, d1, field, value, message):
+        g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
+        setattr(g.nodes[2], field, value(g.nodes[2]))
+        with pytest.raises(G.GraphStructureError, match=f"node 2 {message}"):
+            validate_structure(g)
+        with pytest.raises(G.GraphStructureError, match=f"node 2 {message}"):
+            G.check_axioms(g)
+
     def test_weight_multiplicities_sorted(self, d1):
         g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
         table = G.weight_multiplicities(g)

@@ -10,11 +10,12 @@ sorted, reversed, shuffled and repeated order, with all those crystals
 interleaved.  The scalar operators wt, eps, phi, e and f read their
 entry of ``stats``, so they go through the same cache; each of their
 reads, one by one in the same four orders, must equal that entry.
-``StringCrystal``'s eps, phi, e and f share the scan of the last string
-read; they must equal its ``stats`` in interleaved orders, on equal
-strings that are not identical, on one string tuple read by two
+``StringCrystal``'s eps, phi, e and f read their entry of the last
+string's ``stats``; they must equal ``stats`` in interleaved orders, on
+equal strings that are not identical, on one string tuple read by two
 crystals over different sequences, and on strings that are freed as
-soon as they are read."""
+soon as they are read, and a string leaf read through its operators
+must cost one ``stats`` call."""
 
 import random
 
@@ -194,3 +195,21 @@ def test_strings_freed_as_soon_as_they_are_read():
         for i in (0, 1):
             got = [getattr(crystal, op)(i, crystal.element(list(x))) for x in strings]
             assert got == [w[col][i] for w in want]
+
+
+def test_a_string_leaf_costs_one_stats_call(monkeypatch):
+    # equality cannot see a dropped cache: count what a leaf read costs
+    calls = []
+    stats = G.StringCrystal.stats
+
+    def counted(self, b):
+        calls.append(b)
+        return stats(self, b)
+
+    monkeypatch.setattr(G.StringCrystal, "stats", counted)
+    for crystal in string_crystals():
+        for b in map(crystal.element, box()):
+            calls.clear()
+            want = stats(crystal, b)
+            assert G.Crystal.stats(crystal, b) == want  # as ``tensor._leaf`` reads it
+            assert len(calls) == 1 and calls[0] is b
