@@ -33,21 +33,22 @@ occurs, and the plan ``_index_stats`` reads (those two, whether i is
 real, and a_ii).  They record the longest support they cover (the
 array length minus one cycle), so a string is checked against them
 with one comparison, and they are rebuilt only when a longer string
-arrives.  Every crystal over the sequence reads the same tables, and so
-do the closed-form conditions of ``closed_form``.  Tables built for a
-shorter array stay valid after ``indices`` regrows it, since the
-shorter array is a prefix of the longer one.  One routine,
+arrives.  The index array is kept there and nowhere else:
+``IndexSequence.indices`` hands out the ``idx`` of the current tables.
+Every crystal over the sequence reads the same tables, and so do the
+closed-form conditions of ``closed_form``.  One routine,
 ``_index_stats``, gives all of an index's statistics from its plan in
 one C-level prefix-sum pass over a string: for a real index, eps_i,
 phi_i and both maximizing positions at the occurrences of i in the
 support and the first one past it; for an imaginary index, the lowering
 slot (the first occurrence whose prefix sum equals the total) and the
-raising test there.  ``stats`` runs it once per index and is the one
-builder of the operator targets: f_i adds 1 at the lowering slot (no
-negative entry, no trailing zero), e_i takes 1 from the positive entry
-at the raising slot and strips trailing zeros.  eps, phi, e and f read
-their entry of the last element's ``stats`` (held by identity), so a
-product leaf read through them costs one ``stats``, not four.
+raising test there.  ``stats`` runs it once per index, builds the
+weight from the index array and is the one builder of the operator
+targets: f_i adds 1 at the lowering slot (no negative entry, no
+trailing zero), e_i takes 1 from the positive entry at the raising slot
+and strips trailing zeros.  wt, eps, phi, e and f read their entry of
+the last element's ``stats`` (held by identity), so a product leaf read
+through all five costs one ``stats`` call, which builds its weight once.
 phi_i is maximized by its own formula, not derived as eps_i + <h_i, wt>,
 so that identity, which ``check_axioms`` verifies, stays a check.
 Each distinct weight is built once per crystal and handed out again.
@@ -136,7 +137,6 @@ class IndexSequence:
         self.prefix = prefix
         self.cycle = cycle
         self.seq_id = str(_reduced(prefix, cycle))  # a str, whose hash is cached
-        self._indices = []
         self._tables = None
 
     def at(self, k: int) -> int:
@@ -148,15 +148,10 @@ class IndexSequence:
         return self.cycle[(k - len(self.prefix) - 1) % len(self.cycle)]
 
     def indices(self, n: int) -> list:
-        """Cached index array covering at least positions 1..n: entry p
-        is i_{p+1}.  It may be longer than n and must not be mutated;
-        a longer request regrows it to at least twice its length."""
-        idx = self._indices
-        if len(idx) < n:
-            length = max(n, 2 * len(idx), 16)
-            reps = -(-(length - len(self.prefix)) // len(self.cycle))
-            idx = self._indices = list(self.prefix + self.cycle * reps)
-        return idx
+        """The index array of the current tables, grown to cover at least
+        positions 1..n: entry p is i_{p+1}.  It may be longer than n and
+        must not be mutated."""
+        return self.tables(max(n - len(self.cycle), 0)).idx
 
     def scan_bound(self, support_len: int) -> int:
         """Position after which every maximized quantity is constant."""
@@ -164,10 +159,13 @@ class IndexSequence:
 
     def tables(self, support: int) -> SequenceTables:
         """Tables covering ``scan_bound(support)``, built once and rebuilt
-        only when a longer support arrives."""
+        only when a longer support arrives, over an index array at least
+        twice as long as the last one."""
         t = self._tables
         if t is None or support > t.reach:
-            idx = self.indices(self.scan_bound(support))
+            length = max(self.scan_bound(support), 2 * len(t.idx) if t else 0, 16)
+            reps = -(-(length - len(self.prefix)) // len(self.cycle))
+            idx = list(self.prefix + self.cycle * reps)
             occ, prev = [[] for _ in range(self.datum.size)], []
             for k, i in enumerate(idx, start=1):
                 prev.append(occ[i][-1] if occ[i] else 0)
@@ -295,7 +293,7 @@ class StringCrystal(Crystal):
         self._size = datum.size
         self._zero_lam = (0,) * datum.size
         self._weights = {}  # root coordinates -> the one Weight built for them
-        self._last = (None, None)  # the last element eps/phi/e/f read, its stats
+        self._last = (None, None)  # the last element wt/eps/phi/e/f read, its stats
 
     def zero(self) -> StringElement:
         return StringElement((), self.seq.seq_id)
@@ -310,23 +308,15 @@ class StringCrystal(Crystal):
             x = x[:-1]
         return StringElement(x, self.seq.seq_id)
 
-    def wt(self, b) -> Weight:
-        rt = [0] * self._size
-        for ik, v in zip(self.seq.indices(len(b.x)), b.x):
-            if v:
-                rt[ik] -= v
-        rt = tuple(rt)
-        w = self._weights.get(rt)
-        if w is None:
-            w = self._weights[rt] = tuple.__new__(Weight, (self._zero_lam, rt))
-        return w
-
     def _read(self, b) -> tuple:
         """``stats(b)``, kept for the next call.  The entry holds b
         itself, so its identity cannot be reused."""
         if self._last[0] is not b:
             self._last = b, self.stats(b)
         return self._last[1]
+
+    def wt(self, b) -> Weight:
+        return self._read(b)[0]
 
     def eps(self, i, b):
         return self._read(b)[1][i]
@@ -344,8 +334,17 @@ class StringCrystal(Crystal):
         x = b.x
         n = len(x)
         new, seq_id = tuple.__new__, self.seq.seq_id
+        t = self.seq.tables(n)
+        rt = [0] * self._size
+        for ik, v in zip(t.idx, x):
+            if v:
+                rt[ik] -= v
+        rt = tuple(rt)
+        wt = self._weights.get(rt)
+        if wt is None:
+            wt = self._weights[rt] = new(Weight, (self._zero_lam, rt))
         eps, phi, e, f = [], [], [], []
-        for plan in self.seq.tables(n).plans:
+        for plan in t.plans:
             eps_i, phi_i, lower, upper = _index_stats(plan, x)
             eps.append(eps_i)
             phi.append(phi_i)
@@ -360,7 +359,7 @@ class StringCrystal(Crystal):
             y = (x + (0,) * (lower - n - 1) + (1,) if lower > n
                  else x[:lower - 1] + (x[lower - 1] + 1,) + x[lower:])
             f.append(new(StringElement, (y, seq_id)))
-        return self.wt(b), tuple(eps), tuple(phi), tuple(e), tuple(f)
+        return wt, tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
 def _index_stats(plan, x):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import Weight, is_neg_inf
+from .cartan import Weight, is_int, is_neg_inf
 from .graph import CUT, validate_structure
 
 
@@ -222,7 +222,7 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
                 rep.coverage_errors.append(f"non-frontier source node {u} is unmapped")
             continue
         tgt = mapping[u]
-        if not (isinstance(tgt, int) and 0 <= tgt < len(dst.nodes)):
+        if not (is_int(tgt) and 0 <= tgt < len(dst.nodes)):
             rep.coverage_errors.append(f"node {u} maps to missing target {tgt!r}")
             continue
         img = dst.nodes[tgt]

@@ -67,9 +67,9 @@ class Crystal:
 
         This default maps the five operators over the indices; every
         product leaf is read through it (``TensorCrystal`` folds leaves
-        without a tree, keeping each factor's last leaf read, and
-        ``StringCrystal``'s operators read one ``stats`` per string).  Graph
-        generation reads every node through this method.
+        without a tree, keeping each factor's last leaf read; all five
+        ``StringCrystal`` operators read one ``stats``, weight included).
+        Graph generation reads every node through this method.
         """
         indices, bs = self.datum.indices(), repeat(b)
         return (

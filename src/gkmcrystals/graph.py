@@ -34,7 +34,7 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .cartan import NEG_INF, Weight, ext_to_json
+from .cartan import NEG_INF, Weight, ext_to_json, is_int
 from .crystals import (
     ElementaryElement,
     ShiftElement,
@@ -234,7 +234,7 @@ def validate_structure(graph):
             for v in fan:
                 if v is None or v is CUT:
                     continue
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (is_int(v) and 0 <= v < n):
                     raise GraphStructureError(f"node {u} {label}-edge to missing node {v!r}")
         if node.eps is None or node.phi is None or not len(node.eps) == len(node.phi) == size:
             raise GraphStructureError(f"node {u} is missing cached statistics")

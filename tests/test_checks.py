@@ -120,6 +120,14 @@ class TestCheckMorphism:
         report = check_morphism(witness, g, g)
         assert any(v.law == "injective" for v in report.violations)
 
+    @pytest.mark.parametrize("target", [True, 1.0], ids=["bool", "float"])
+    def test_target_that_is_not_an_int_is_missing(self, d1, target):
+        g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
+        mapping = {u: u for u in range(len(g))}
+        mapping[1] = target  # equal to node 1, but not a node id
+        report = check_morphism(MorphismWitness(mapping), g, g)
+        assert report.coverage_errors == [f"node 1 maps to missing target {target!r}"]
+
     def test_coverage_error_for_missing_interior_node(self, d1):
         g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
         mapping = {u: u for u in range(len(g)) if not g.nodes[u].frontier}

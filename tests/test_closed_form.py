@@ -303,13 +303,13 @@ class TestOracleCompare:
 
         honest = compare()
         assert honest.ok, honest.summary()
-        wt = G.StringCrystal.wt
+        stats = G.StringCrystal.stats
 
-        def reversed_wt(self, b):
-            w = wt(self, b)
-            return G.Weight(w.lam, w.rt[::-1])
+        def reversed_stats(self, b):
+            w, *rest = stats(self, b)
+            return (G.Weight(w.lam, w.rt[::-1]), *rest)
 
-        monkeypatch.setattr(G.StringCrystal, "wt", reversed_wt)
+        monkeypatch.setattr(G.StringCrystal, "stats", reversed_stats)
         report = compare()
         assert not report.missing_in_bfs and not report.missing_in_predicate
         assert report.predicate_char == honest.predicate_char

@@ -204,6 +204,13 @@ class TestStructureValidation:
         with pytest.raises(G.GraphStructureError):
             validate_structure(g)
 
+    @pytest.mark.parametrize("target", [True, 1.0], ids=["bool", "float"])
+    def test_edge_to_a_node_id_that_is_not_an_int(self, d2, target):
+        g = G.realize_binfinity(d2, G.cyclic_sequence(d2), 2)
+        g.nodes[0].f_ids = (target,)  # equal to node 1, but not a node id
+        with pytest.raises(G.GraphStructureError, match=f"node 0 f-edge to missing node {target!r}"):
+            validate_structure(g)
+
     @pytest.mark.parametrize("field, value, message", [
         ("phi", lambda node: node.phi[:1], "is missing cached statistics"),
         ("wt", lambda node: None, "has no weight of size 2"),

@@ -10,12 +10,13 @@ sorted, reversed, shuffled and repeated order, with all those crystals
 interleaved.  The scalar operators wt, eps, phi, e and f read their
 entry of ``stats``, so they go through the same cache; each of their
 reads, one by one in the same four orders, must equal that entry.
-``StringCrystal``'s eps, phi, e and f read their entry of the last
+``StringCrystal``'s wt, eps, phi, e and f read their entry of the last
 string's ``stats``; they must equal ``stats`` in interleaved orders, on
 equal strings that are not identical, on one string tuple read by two
 crystals over different sequences, and on strings that are freed as
-soon as they are read, and a string leaf read through its operators
-must cost one ``stats`` call."""
+soon as they are read.  ``StringCrystal.stats`` builds the weight
+itself, so a string leaf read through its five operators must cost one
+``stats`` call and one ``wt`` call, and ``stats`` alone no ``wt`` call."""
 
 import random
 
@@ -198,18 +199,27 @@ def test_strings_freed_as_soon_as_they_are_read():
 
 
 def test_a_string_leaf_costs_one_stats_call(monkeypatch):
-    # equality cannot see a dropped cache: count what a leaf read costs
-    calls = []
-    stats = G.StringCrystal.stats
+    # equality cannot see a dropped cache or a weight built twice: count
+    # what a leaf read costs
+    calls, wt_calls = [], []
+    stats, wt = G.StringCrystal.stats, G.StringCrystal.wt
 
     def counted(self, b):
         calls.append(b)
         return stats(self, b)
 
+    def counted_wt(self, b):
+        wt_calls.append(b)
+        return wt(self, b)
+
     monkeypatch.setattr(G.StringCrystal, "stats", counted)
+    monkeypatch.setattr(G.StringCrystal, "wt", counted_wt)
     for crystal in string_crystals():
         for b in map(crystal.element, box()):
             calls.clear()
+            wt_calls.clear()
             want = stats(crystal, b)
+            assert wt_calls == []  # ``stats`` builds the weight itself
             assert G.Crystal.stats(crystal, b) == want  # as ``tensor._leaf`` reads it
             assert len(calls) == 1 and calls[0] is b
+            assert len(wt_calls) == 1 and wt_calls[0] is b

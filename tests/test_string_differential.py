@@ -5,8 +5,8 @@ and f on every node of B(infinity) truncations, on the string factors of
 the B(lambda) carriers, and on every string of a small box (which
 reaches strings outside the component of the zero string).  Extreme
 data (an entry past the float range, a lone imaginary index, 21 indices)
-and tables built for a shorter index array are covered too, as is the
-one-Weight-per-weight interning of each crystal."""
+and tables regrown, with their index array, for a longer string are
+covered too, as is the one-Weight-per-weight interning of each crystal."""
 
 from itertools import product
 
@@ -184,19 +184,20 @@ def test_tables_follow_a_regrown_index_array(make):
     assert disagreements(other, strings) == []
 
 
-def test_plans_survive_a_regrowth_by_another_crystal():
+def test_a_regrowth_by_another_crystal_replaces_the_array():
     """Two crystals share one Monster block sequence, which has a prefix,
-    and so share its tables.  The weights of one regrow the index array
-    past the tables (``wt`` reads ``indices``); the tables, built for
-    the shorter array, still serve every string they cover, the longest
-    ones included, and a longer string makes the sequence build new ones."""
+    and so share its tables, which hold its one index array.  A long
+    string read by one of them makes the sequence build new tables over
+    an array at least twice as long, and ``indices`` hands out that
+    array; both crystals read every string against the new tables, the
+    longest ones the old tables covered included."""
     datum, seq = monster(2, (2, 1))
     assert seq.prefix
     grower, keeper = G.StringCrystal(datum, seq), G.StringCrystal(datum, seq)
     keeper.stats(keeper.zero())
-    tables = seq.tables(0)
+    assert seq.indices(0) is seq.tables(0).idx
     short = len(seq.indices(0))
-    reach = short - len(seq.cycle)  # the longest support the tables cover
+    reach = short - len(seq.cycle)  # the longest support the first tables cover
     covered, edge = ([keeper.element((0,) * (n - 2) + tail)
                       for n in lengths for tail in product(range(3), repeat=2)]
                      for lengths in ((reach - 1, reach), (reach + 1, reach + 2)))
@@ -204,12 +205,12 @@ def test_plans_survive_a_regrowth_by_another_crystal():
             for tail in product(range(3), repeat=2)]
     for b in long:
         grower.wt(b)
-    assert len(seq.indices(0)) > 2 * short
-    assert disagreements(keeper, covered) == []
-    assert seq.tables(reach) is tables
-    assert disagreements(keeper, edge) == []
-    assert disagreements(grower, long) == []
-    assert disagreements(keeper, long) == []
+    assert seq.indices(0) is seq.tables(0).idx
+    assert len(seq.indices(0)) >= 2 * short
+    for crystal in (keeper, grower):
+        assert disagreements(crystal, covered) == []
+        assert disagreements(crystal, edge) == []
+        assert disagreements(crystal, long) == []
 
 
 @pytest.mark.parametrize("make", [
