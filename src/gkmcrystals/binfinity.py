@@ -70,10 +70,9 @@ weights) are rebuilt by path transport and re-checked edge by edge.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import gt, mul
-from typing import NamedTuple
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int
 from .checks import CheckReport, MorphismWitness, check_injective, check_morphism
@@ -94,7 +93,7 @@ class AuditError(RuntimeError):
     operators are inconsistent (this is a bug, not bad user input)."""
 
 
-class SequenceTables(NamedTuple):
+class SequenceTables(namedtuple("SequenceTables", "idx rows occ prev plans reach")):
     """A datum read along the index array ``idx`` of a sequence (entry p
     is i_{p+1}), per index i:
 
@@ -106,12 +105,7 @@ class SequenceTables(NamedTuple):
       scan_bound(n) <= len(idx) iff n <= reach.
     """
 
-    idx: list
-    rows: list
-    occ: list
-    prev: list
-    plans: list
-    reach: int
+    __slots__ = ()
 
 
 class IndexSequence:
@@ -212,22 +206,20 @@ def monster_real_position(n: int, multiplicities) -> int:
     return sum((n - i) * m[i] for i in range(min(n, len(m)))) + n + 1
 
 
-@dataclass(frozen=True)
-class MonsterParams:
+class MonsterParams(namedtuple("MonsterParams", "level multiplicities")):
     """Monster-type block parameters, the one check of them: an ``int``
     level L >= 1 and a list or tuple of L positive ``int`` multiplicities
     m(1..L), kept as a tuple; nothing is converted."""
 
-    level: int
-    multiplicities: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        level, m = self.level, self.multiplicities
+    def __new__(cls, level, multiplicities):
+        m = multiplicities
         if not (is_int(level) and level >= 1 and isinstance(m, (list, tuple)) and len(m) == level
                 and all(is_int(v) and v >= 1 for v in m)):
             raise ValueError("need an integer level L >= 1 and L positive integer "
                              f"multiplicities, got {level!r} and {m!r}")
-        object.__setattr__(self, "multiplicities", tuple(m))
+        return tuple.__new__(cls, (level, tuple(m)))
 
 
 def monster_block_sequence(datum, level: int, multiplicities) -> IndexSequence:
@@ -471,12 +463,7 @@ def realize_highest_weight(datum, seq: IndexSequence, lam: Weight, depth: int) -
     return _audited(bfs_component(crystal, highest_weight_root(crystal), depth))
 
 
-@dataclass
-class EmbeddingResult:
-    witness: MorphismWitness
-    source: CrystalGraph
-    target: CrystalGraph
-    report: CheckReport
+EmbeddingResult = namedtuple("EmbeddingResult", "witness source target report")
 
 
 def highest_weight_projection(hw_graph, binf_graph) -> EmbeddingResult:

@@ -6,6 +6,14 @@ nonpositive diagonal entries.  An index i is *real* when a_ii = 2 and
 keys off that classification.  The datum also carries positive integer
 symmetrizers s_i with s_i a_ij = s_j a_ji.
 
+The datum is a namedtuple (index_names, cartan, symmetrizers), each part
+a tuple, so it hashes and compares by value and, like a ``Weight``,
+equals the plain tuple of its parts.  It coerces and validates
+in ``__new__``.  It has no ``__slots__``: its cached properties live in
+its instance ``__dict__``, which ``cached_property``, copy and pickle
+write directly, while assigning or deleting any attribute raises
+AttributeError, so it stays frozen.
+
 Weights live in the Z-span of the fundamental weights and the simple
 roots and are kept as a formal coordinate pair; the datum evaluates
 coroot pairings via <h_i, Lambda_j> = delta_ij and <h_i, alpha_j> = a_ij.
@@ -26,7 +34,7 @@ integer arithmetic is exact (Python bignums), so overflow cannot occur.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from operator import add, itemgetter, mul, neg, sub
 
@@ -178,18 +186,18 @@ class DatumFormatError(ValueError):
     """A datum file whose JSON payload does not match the schema."""
 
 
-@dataclass
-class DatumViolation:
-    condition: str
-    message: str
+class DatumViolation(namedtuple("DatumViolation", "condition message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.condition}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    """The violations found so far; empty means valid."""
+
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -258,30 +266,33 @@ def validate_cartan_data(matrix, symmetrizers) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class BorcherdsCartanDatum:
+class BorcherdsCartanDatum(namedtuple("BorcherdsCartanDatum", "index_names cartan symmetrizers")):
     """A finite Borcherds-Cartan datum: named indices, the Cartan matrix,
     and its symmetrizers.  Immutable and validated at construction."""
 
-    index_names: tuple
-    cartan: tuple
-    symmetrizers: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "index_names", tuple(self.index_names))
-        object.__setattr__(self, "cartan", tuple(tuple(row) for row in self.cartan))
-        object.__setattr__(self, "symmetrizers", tuple(self.symmetrizers))
-        report = validate_cartan_data(self.cartan, self.symmetrizers)
+    def __new__(cls, index_names, cartan, symmetrizers):
+        self = tuple.__new__(
+            cls, (tuple(index_names), tuple(tuple(row) for row in cartan), tuple(symmetrizers))
+        )
+        index_names, cartan, symmetrizers = self
+        report = validate_cartan_data(cartan, symmetrizers)
         if not report.ok:
             raise DatumConditionError(report)
-        if len(self.index_names) != len(self.cartan):
+        if len(index_names) != len(cartan):
             raise DatumShapeError(
-                f"{len(self.index_names)} index names for a {len(self.cartan)}x{len(self.cartan)} matrix"
+                f"{len(index_names)} index names for a {len(cartan)}x{len(cartan)} matrix"
             )
-        if not all(isinstance(name, str) for name in self.index_names):
+        if not all(isinstance(name, str) for name in index_names):
             raise DatumShapeError("index names must be strings")
-        if len(set(self.index_names)) != len(self.index_names):
+        if len(set(index_names)) != len(index_names):
             raise DatumShapeError("index names must be distinct")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def size(self) -> int:

@@ -14,23 +14,22 @@ the weight by s alpha_i and (eps_i, phi_i) by s (-1, +1) at a real index,
 s (0, a_ii) at an imaginary one; law names carry the direction as an
 ``e_``/``f_`` prefix.  ``check_injective`` is the one injectivity check,
 shared by ``check_morphism`` and the highest-weight projection.
+
+A ``Violation`` is a namedtuple.  ``CheckReport`` accumulates while a
+check runs and a ``MorphismWitness`` may be edited in place, so both are
+plain classes; a witness compares equal to another by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .cartan import Weight, is_int, is_neg_inf
+from .cartan import is_int, is_neg_inf
 from .graph import CUT, validate_structure
 
 
-@dataclass
-class Violation:
-    node: object
-    index: object
-    law: str
-    expected: object = None
-    found: object = None
+class Violation(namedtuple("Violation", "node index law expected found", defaults=(None, None))):
+    __slots__ = ()
 
     def __str__(self):
         return (
@@ -39,12 +38,14 @@ class Violation:
         )
 
 
-@dataclass
 class CheckReport:
-    violations: list = field(default_factory=list)
-    coverage_errors: list = field(default_factory=list)
-    checked: int = 0
-    skipped: int = 0
+    """Violations and coverage errors in the order found, and the counts
+    of relations checked and skipped."""
+
+    def __init__(self):
+        self.violations = []
+        self.coverage_errors = []
+        self.checked = self.skipped = 0
 
     @property
     def ok(self) -> bool:
@@ -180,20 +181,25 @@ def check_category_profile(graph) -> CheckReport:
     return rep
 
 
-@dataclass
 class MorphismWitness:
     """A finite map between two graphs, given as node id -> node id.
 
     ``weight_shift`` relaxes weight preservation to wt(psi b) = wt(b) - shift
     (eps preserved, phi shifted accordingly), which is the law satisfied
     by the highest-weight-forgetting projection; the default shift is
-    zero, i.e. a plain morphism.
+    zero, i.e. a plain morphism.  Mutable, and equal by value.
     """
 
-    mapping: dict
-    strict: bool = False
-    embedding: bool = False
-    weight_shift: Weight | None = None
+    def __init__(self, mapping, strict=False, embedding=False, weight_shift=None):
+        self.mapping = mapping
+        self.strict = strict
+        self.embedding = embedding
+        self.weight_shift = weight_shift
+
+    def __eq__(self, other):  # defining it leaves the class unhashable
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
@@ -203,14 +209,20 @@ def check_morphism(witness: MorphismWitness, src, dst) -> CheckReport:
     lowering wherever the source edge exists (raising commutation is
     checked too, being a consequence).  ``strict`` additionally demands
     that zeros map to zeros on both sides; ``embedding`` demands
-    injectivity.  Missing non-frontier domain nodes are coverage errors,
-    reported separately from law violations.
+    injectivity.  Missing non-frontier domain nodes and mapping keys that
+    are not source node ids are coverage errors, reported separately from
+    law violations; such a key takes no part in the laws or injectivity.
     """
     validate_structure(src)
     validate_structure(dst)
     datum = src.datum
     rep = CheckReport()
-    mapping = witness.mapping
+    mapping = {}
+    for u, tgt in witness.mapping.items():
+        if is_int(u) and 0 <= u < len(src.nodes):
+            mapping[u] = tgt
+        else:
+            rep.coverage_errors.append(f"mapping key {u!r} is not a source node")
     shift = witness.weight_shift if witness.weight_shift is not None else datum.zero_weight()
     if len(shift.lam) != datum.size:
         raise ValueError(f"weight shift has size {len(shift.lam)}, the datum {datum.size}")

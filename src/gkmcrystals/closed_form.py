@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
 from operator import mul
@@ -75,16 +75,13 @@ class MonsterConditionError(RuntimeError):
     model (rank 2 or Monster-type) is malformed."""
 
 
-@dataclass(frozen=True)
-class Rank2Params:
-    a: int
-    b: int
-    c: int
+class Rank2Params(namedtuple("Rank2Params", "a b c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+    def __new__(cls, a, b, c):
         if not (all(map(is_int, (a, b, c))) and a >= 1 and b >= 1 and c >= 0 and c % 2 == 0):
             raise ValueError(f"need integers a, b >= 1 and an even c >= 0, got {a!r}, {b!r}, {c!r}")
+        return tuple.__new__(cls, (a, b, c))
 
 
 def rank2_datum(p: Rank2Params) -> BorcherdsCartanDatum:
@@ -296,13 +293,9 @@ def default_position_bound(seq: IndexSequence, depth: int) -> int:
     return len(seq.prefix) + (depth + 1) * len(seq.cycle)
 
 
-@dataclass
-class OracleReport:
-    missing_in_bfs: list
-    missing_in_predicate: list
-    char: list
-    predicate_char: list
-    depth: int
+class OracleReport(namedtuple(
+        "OracleReport", "missing_in_bfs missing_in_predicate char predicate_char depth")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -18,17 +18,24 @@ Three concrete crystals are provided:
 All element types are defined here, next to ``sort_key``: the
 ``ElementaryElement``, ``ShiftElement`` and ``UnitElement`` of those
 three crystals, the ``StringElement`` of the string crystals in
-``binfinity`` and the flat ``TensorElement`` of ``tensor``.  The last
-two are built and hashed once or more per generated node, so they are
-slotted tuple subclasses: hashing and equality run in C and are by
-value.  Their constructors validate; the operator targets of
-``StringCrystal`` and ``TensorCrystal``, canonical by construction, are
-built without re-validation.
+``binfinity`` and the flat ``TensorElement`` of ``tensor``.  All five
+are tuples (the first three namedtuples, the last two slotted tuple
+subclasses), so hashing and equality run in C and are by value: an
+element equals the plain tuple of its fields, and nothing in the
+library mixes the two.  ``UnitElement()`` is the empty tuple, so it is
+falsy; the crystal zero is None and is always tested with ``is``, never
+by truth value.  Tuples also order with ``<`` and iterate, and a
+namedtuple's ``_make`` and ``_replace`` skip ``__new__`` and so any
+validation; no code uses these (``sort_key`` orders elements).  The
+constructors of ``ElementaryElement``, ``StringElement`` and
+``TensorElement`` validate; the operator targets of ``StringCrystal``
+and ``TensorCrystal``, canonical by construction, are built without
+re-validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 
@@ -81,28 +88,21 @@ class Crystal:
         )
 
 
-@dataclass(frozen=True)
-class ElementaryElement:
+class ElementaryElement(namedtuple("ElementaryElement", "index steps")):
     """b_index(-steps) with steps >= 0; steps counts lowerings from the top."""
 
-    index: int
-    steps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (is_int(self.index) and is_int(self.steps)):
+    def __new__(cls, index, steps):
+        if not (is_int(index) and is_int(steps)):
             raise TypeError("elementary index and steps must be ints, not bools or floats")
-        if self.steps < 0:
+        if steps < 0:
             raise ValueError("elementary elements live at nonpositive positions")
+        return tuple.__new__(cls, (index, steps))
 
 
-@dataclass(frozen=True)
-class ShiftElement:
-    weight: Weight
-
-
-@dataclass(frozen=True)
-class UnitElement:
-    pass
+ShiftElement = namedtuple("ShiftElement", "weight")
+UnitElement = namedtuple("UnitElement", "")
 
 
 class StringElement(tuple):

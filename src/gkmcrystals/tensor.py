@@ -41,9 +41,9 @@ read once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product, repeat
 from operator import add
-from typing import NamedTuple
 
 from .cartan import NEG_INF
 from .checks import CheckReport
@@ -68,14 +68,8 @@ def raising_side(is_real: bool, a_ii: int, phi_left, eps_right) -> str:
     return ZERO
 
 
-class BracketLeaf(NamedTuple):
-    crystal: object
-    elt: object
-
-
-class BracketPair(NamedTuple):
-    left: object
-    right: object
+BracketLeaf = namedtuple("BracketLeaf", "crystal elt")
+BracketPair = namedtuple("BracketPair", "left right")
 
 
 class TensorCrystal(Crystal):

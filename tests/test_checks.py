@@ -128,6 +128,29 @@ class TestCheckMorphism:
         report = check_morphism(MorphismWitness(mapping), g, g)
         assert report.coverage_errors == [f"node 1 maps to missing target {target!r}"]
 
+    @pytest.mark.parametrize("make_key", [len, lambda g: -1, lambda g: "x"],
+                             ids=["out-of-range", "negative", "str"])
+    def test_key_that_is_not_a_source_node_is_a_coverage_error(self, d1, make_key):
+        g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
+        key = make_key(g)
+        identity = {u: u for u in range(len(g))}
+        clean = check_morphism(MorphismWitness(identity, embedding=True), g, g)
+        report = check_morphism(MorphismWitness({**identity, key: 0}, embedding=True), g, g)
+        # the key takes no part in the laws, the injectivity check or the count
+        assert report.coverage_errors == [f"mapping key {key!r} is not a source node"]
+        assert report.violations == clean.violations == []
+        assert report.checked == clean.checked
+
+    def test_bool_key_is_not_read_as_a_node(self, d1):
+        g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
+        assert not g.nodes[1].frontier
+        mapping = {True: 1}  # equal to node 1, but not a node id
+        mapping.update((u, u) for u in range(len(g)) if u != 1)
+        report = check_morphism(MorphismWitness(mapping, embedding=True), g, g)
+        assert report.coverage_errors == [
+            "mapping key True is not a source node", "non-frontier source node 1 is unmapped",
+        ]
+
     def test_coverage_error_for_missing_interior_node(self, d1):
         g = G.realize_binfinity(d1, G.cyclic_sequence(d1), 2)
         mapping = {u: u for u in range(len(g)) if not g.nodes[u].frontier}

@@ -2,7 +2,9 @@
 their validating constructors, immutability, repr, copy and pickle, and
 value equality; and the operator targets that ``StringCrystal.stats`` and
 ``TensorCrystal._flat`` build without re-validation, diffed against the
-validating constructors on whole generated graphs."""
+validating constructors on whole generated graphs.  The other frozen
+records (the three small element types, both parameter classes and the
+datum) are checked for immutability, and all but the datum for copies."""
 
 import copy
 import pickle
@@ -24,6 +26,28 @@ def string(x=(1, 2)):
 
 def tensor():
     return TensorElement((string(()), G.UnitElement()))
+
+
+def elementary():
+    return G.ElementaryElement(0, 1)
+
+
+def shift():
+    return G.ShiftElement(make_d1().fundamental(0))
+
+
+def rank2_params():
+    return G.Rank2Params(2, 1, 4)
+
+
+def monster_params():
+    return G.MonsterParams(2, (2, 1))
+
+
+def datum_with_cache():
+    datum = make_d1()
+    assert datum.size == 2  # fills the cached property
+    return datum
 
 
 class TestConstructors:
@@ -74,10 +98,26 @@ class TestImmutable:
     @pytest.mark.parametrize("make, attr", [
         (string, "x"), (string, "seq_id"), (string, "other"),
         (tensor, "factors"), (tensor, "other"),
+        (elementary, "steps"), (elementary, "other"),
+        (shift, "weight"), (shift, "other"),
+        (G.UnitElement, "other"),
+        (rank2_params, "a"), (rank2_params, "other"),
+        (monster_params, "multiplicities"), (monster_params, "other"),
+        (make_d1, "cartan"), (make_d1, "other"), (make_d1, "size"),
+        (datum_with_cache, "size"),
     ])
     def test_attributes_cannot_be_assigned(self, make, attr):
         with pytest.raises(AttributeError):
             setattr(make(), attr, ())
+
+    @pytest.mark.parametrize("make, attr", [
+        (make_d1, "cartan"), (datum_with_cache, "size"),
+    ])
+    def test_datum_attributes_cannot_be_deleted(self, make, attr):
+        datum = make()
+        with pytest.raises(AttributeError):
+            delattr(datum, attr)
+        assert datum.size == 2 and datum.cartan == ((2, -1), (-1, 0))
 
 
 def test_repr_is_pinned():
@@ -87,7 +127,9 @@ def test_repr_is_pinned():
     )
 
 
-@pytest.mark.parametrize("make", [string, tensor])
+@pytest.mark.parametrize("make", [
+    string, tensor, elementary, shift, G.UnitElement, rank2_params, monster_params,
+])
 @pytest.mark.parametrize("clone", [
     copy.copy,
     copy.deepcopy,
