@@ -40,6 +40,7 @@ from .tensor import (
 from .graph import (
     CUT,
     CrystalGraph,
+    GraphCrystal,
     GraphStructureError,
     bfs_component,
     canonical_form,

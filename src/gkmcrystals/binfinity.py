@@ -65,6 +65,8 @@ by one audit that reads weights relative to the root, and the morphism
 witnesses of this module (highest-weight projection, embedding into the
 product with an elementary crystal, splitting of a sum of highest
 weights) are rebuilt by path transport and re-checked edge by edge.
+The embedding's product reads its B(infinity) factor off the graph's
+own tables (``graph.GraphCrystal``), not off the strings again.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .crystals import (
     TensorElement,
     UnitCrystal,
 )
-from .graph import CUT, CrystalGraph, bfs_component
+from .graph import CUT, CrystalGraph, GraphCrystal, bfs_component
 from .tensor import TensorCrystal
 
 
@@ -588,15 +590,20 @@ def _embed(source, product, root_image, depth) -> EmbeddingResult:
 def crystal_embedding(binf_graph, i: int) -> EmbeddingResult:
     """Embed a B(infinity) truncation into itself ⊗ (elementary crystal i).
 
-    The root goes to root ⊗ b_i(0); everything else is transported along
-    lowering edges, re-derived along every alternative path, and the
-    resulting witness is checked as a strict embedding.
+    The product's first factor is the graph's own tables
+    (``GraphCrystal``), so this checks B ↪ B ⊗ B_i for the abstract
+    crystal B that the graph records.  The root goes to root ⊗ b_i(0);
+    everything else is transported along lowering edges, re-derived
+    along every alternative path, and the resulting witness is checked
+    as a strict embedding.  The product is generated to the graph's
+    depth bound, which a universe graph lacks; a product node is at
+    least as high as its first factor, so only nodes at the bound, whose
+    lowerings are cut anyway, meet a CUT leaf.
     """
-    crystal = binf_graph.crystal
-    if crystal is None:
-        raise ValueError("graph does not carry its generating crystal")
+    if binf_graph.depth_bound is None:
+        raise ValueError("the embedding needs a generated graph with a depth bound")
     elementary = ElementaryCrystal(binf_graph.datum, i)
-    product = TensorCrystal(crystal, elementary)
+    product = TensorCrystal(GraphCrystal(binf_graph), elementary)
     root_image = product.element(binf_graph.nodes[binf_graph.root].elt, elementary.top())
     return _embed(binf_graph, product, root_image, binf_graph.depth_bound)
 

@@ -75,7 +75,8 @@ class Crystal:
         This default maps the five operators over the indices; every
         product leaf is read through it (``TensorCrystal`` folds leaves
         without a tree, keeping each factor's last leaf read; all five
-        ``StringCrystal`` operators read one ``stats``, weight included).
+        ``StringCrystal`` operators read one ``stats``, weight included,
+        and a ``GraphCrystal`` leaf is five reads of one table row).
         Graph generation reads every node through this method.
         """
         indices, bs = self.datum.indices(), repeat(b)

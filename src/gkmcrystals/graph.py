@@ -16,6 +16,10 @@ Two generation modes:
 * ``graph_from_universe`` -- an explicitly given finite element set,
   used to audit products of truncated crystals.
 
+The other way round, ``GraphCrystal`` is the crystal a graph's own
+tables define, CUT included, so that a product can take a graph as a
+factor (the B(infinity) embedding check does).
+
 Raising is expected to stay inside a generated component; a raising
 result outside the node set is recorded in ``closure_failures`` (for a
 component, that indicates an operator bug).
@@ -36,6 +40,7 @@ from operator import itemgetter
 
 from .cartan import NEG_INF, Weight, ext_to_json, is_int
 from .crystals import (
+    Crystal,
     ElementaryElement,
     ShiftElement,
     StringElement,
@@ -240,6 +245,39 @@ def validate_structure(graph):
             raise GraphStructureError(f"node {u} is missing cached statistics")
         if not isinstance(node.wt, Weight) or len(node.wt.lam) != size:
             raise GraphStructureError(f"node {u} has no weight of size {size}")
+
+
+class GraphCrystal(Crystal):
+    """The crystal a graph's own tables define, on the graph's elements:
+    one row per node of its cached wt, eps and phi and both fans, each
+    target given as the element itself and CUT wherever the graph has
+    CUT.  The graph's structure is validated first."""
+
+    def __init__(self, graph: CrystalGraph):
+        validate_structure(graph)
+        super().__init__(graph.datum)
+        nodes = graph.nodes
+
+        def targets(fan):
+            return tuple(v if v is None or v is CUT else nodes[v].elt for v in fan)
+
+        self._rows = {node.elt: (node.wt, node.eps, node.phi, targets(node.e_ids),
+                                 targets(node.f_ids)) for node in nodes}
+
+    def wt(self, b):
+        return self._rows[b][0]
+
+    def eps(self, i, b):
+        return self._rows[b][1][i]
+
+    def phi(self, i, b):
+        return self._rows[b][2][i]
+
+    def e(self, i, b):
+        return self._rows[b][3][i]
+
+    def f(self, i, b):
+        return self._rows[b][4][i]
 
 
 def weight_token(w: Weight) -> str:

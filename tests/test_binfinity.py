@@ -228,6 +228,28 @@ class TestCrystalEmbedding:
         with pytest.raises(ValueError):
             G.crystal_embedding(g, 0)
 
+    def test_refuses_a_universe_graph(self, d1):
+        binf = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
+        universe = G.graph_from_universe(binf.crystal, binf.elements())
+        with pytest.raises(ValueError, match="depth bound"):
+            G.crystal_embedding(universe, 0)
+
+    def test_reads_the_graph_not_its_crystal(self, d1, toy_monster):
+        for datum, seq in ((d1, G.cyclic_sequence(d1)), (toy_monster.datum, toy_monster.sequence)):
+            binf, bare = (G.realize_binfinity(datum, seq, 3) for _ in range(2))
+            bare.crystal = None
+            for i in datum.indices():
+                got, want = G.crystal_embedding(bare, i), G.crystal_embedding(binf, i)
+                assert got.witness == want.witness
+                assert got.report.violations == want.report.violations
+                assert got.report.summary() == want.report.summary()
+
+    def test_malformed_graph_is_a_structure_error(self, d1):
+        binf = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
+        binf.nodes[2].f_ids = binf.nodes[2].f_ids[:1]
+        with pytest.raises(G.GraphStructureError, match="node 2 has a malformed f-fan"):
+            G.crystal_embedding(binf, 0)
+
 
 class TestTensorDecompositionEmbedding:
     def test_rank1_sum_into_product(self, d2):

@@ -196,6 +196,38 @@ class TestCanonicalForm:
             G.canonical_form(g)
 
 
+class TestGraphCrystal:
+    def test_reads_the_generating_crystal_where_the_graph_is_whole(self, d1, toy_monster):
+        for datum, seq in ((d1, G.cyclic_sequence(d1)), (toy_monster.datum, toy_monster.sequence)):
+            g = G.realize_binfinity(datum, seq, 3)
+            crystal = G.GraphCrystal(g)
+            for node in g.nodes:
+                wt, eps, phi, e, f = G.Crystal.stats(crystal, node.elt)
+                want = g.crystal.stats(node.elt)
+                assert (wt, eps, phi, e) == want[:4]
+                if node.frontier:
+                    assert f == (CUT,) * datum.size
+                else:
+                    assert f == want[4]
+
+    def test_rows_of_a_hand_built_graph(self, d2):
+        w = d2.alpha(0)
+        g = manual_graph(d2, [w.scaled(0), w.scaled(-1)], [(0, 0, 1)])
+        g.nodes[1].f_ids = (CUT,)
+        crystal = G.GraphCrystal(g)
+        assert crystal.datum is d2
+        assert [crystal.f(0, ("node", k)) for k in (0, 1)] == [("node", 1), CUT]
+        assert [crystal.e(0, ("node", k)) for k in (0, 1)] == [None, ("node", 0)]
+        b = ("node", 1)
+        assert (crystal.wt(b), crystal.eps(0, b), crystal.phi(0, b)) == (w.scaled(-1), 0, 0)
+
+    def test_validates_the_graph(self, d2):
+        g = G.realize_binfinity(d2, G.cyclic_sequence(d2), 2)
+        g.nodes[1].f_ids = (999,)
+        with pytest.raises(G.GraphStructureError, match="node 1 f-edge to missing node 999"):
+            G.GraphCrystal(g)
+
+
 class TestStructureValidation:
     def test_edge_to_missing_node(self, d2):
         g = G.realize_binfinity(d2, G.cyclic_sequence(d2), 2)
