@@ -66,7 +66,7 @@ witnesses of this module (highest-weight projection, embedding into the
 product with an elementary crystal, splitting of a sum of highest
 weights) are rebuilt by path transport and re-checked edge by edge.
 The embedding's product reads its B(infinity) factor off the graph's
-own tables (``graph.GraphCrystal``), not off the strings again.
+tables in place (``graph.GraphCrystal``, on node ids), not the strings.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ from .crystals import (
     Crystal,
     ElementaryCrystal,
     ShiftCrystal,
+    ShiftElement,
     StringElement,
     TensorElement,
     UnitCrystal,
 )
-from .graph import CUT, CrystalGraph, GraphCrystal, bfs_component
+from .graph import CUT, CrystalGraph, GraphCrystal, bfs_component, validate_structure
 from .tensor import TensorCrystal
 
 
@@ -475,9 +476,16 @@ def highest_weight_projection(hw_graph, binf_graph) -> EmbeddingResult:
     with raising everywhere (zeros included), commutes with lowering
     wherever the source lowering is nonzero, shifts weights by -lam and
     preserves every eps_i.  Both graphs must come from the same sequence
-    and depth.
+    and depth, and both are validated first.
     """
-    lam = hw_graph.nodes[hw_graph.root].elt.factors[1].weight
+    validate_structure(hw_graph)
+    validate_structure(binf_graph)
+    root = hw_graph.nodes[hw_graph.root].elt
+    if not (isinstance(root, TensorElement) and len(root.factors) == 3
+            and isinstance(root.factors[1], ShiftElement)):
+        raise ValueError("the projection's source must be a B(lambda) carrier graph, "
+                         "(string) ⊗ t_lambda ⊗ c")
+    lam = root.factors[1].weight
     datum = hw_graph.datum
     rep = CheckReport()
     mapping = {}
@@ -590,21 +598,21 @@ def _embed(source, product, root_image, depth) -> EmbeddingResult:
 def crystal_embedding(binf_graph, i: int) -> EmbeddingResult:
     """Embed a B(infinity) truncation into itself ⊗ (elementary crystal i).
 
-    The product's first factor is the graph's own tables
+    The product's first factor is the graph's tables on its node ids
     (``GraphCrystal``), so this checks B ↪ B ⊗ B_i for the abstract
-    crystal B that the graph records.  The root goes to root ⊗ b_i(0);
-    everything else is transported along lowering edges, re-derived
-    along every alternative path, and the resulting witness is checked
-    as a strict embedding.  The product is generated to the graph's
-    depth bound, which a universe graph lacks; a product node is at
-    least as high as its first factor, so only nodes at the bound, whose
-    lowerings are cut anyway, meet a CUT leaf.
+    crystal B that any validated graph records, with target elements
+    (node id, b_i(-n)).  The root goes to root ⊗ b_i(0); everything else
+    is transported along lowering edges, re-derived along every
+    alternative path, and the resulting witness is checked as a strict
+    embedding.  The product is generated to the graph's depth bound; a
+    product node is at least as high as its first factor, so only nodes
+    at the bound, whose lowerings are cut anyway, meet a CUT leaf.
     """
     if binf_graph.depth_bound is None:
         raise ValueError("the embedding needs a generated graph with a depth bound")
     elementary = ElementaryCrystal(binf_graph.datum, i)
     product = TensorCrystal(GraphCrystal(binf_graph), elementary)
-    root_image = product.element(binf_graph.nodes[binf_graph.root].elt, elementary.top())
+    root_image = product.element(binf_graph.root, elementary.top())
     return _embed(binf_graph, product, root_image, binf_graph.depth_bound)
 
 

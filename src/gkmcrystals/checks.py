@@ -166,6 +166,7 @@ def check_axioms(graph) -> CheckReport:
 def check_category_profile(graph) -> CheckReport:
     """Optional profile at imaginary indices: wt_i(b) >= 0, eps_i(b) in
     Z_{<=0} ∪ {-inf}, phi_i(b) in Z_{>=0} ∪ {-inf}."""
+    validate_structure(graph)
     datum = graph.datum
     rep = CheckReport()
     for u, node in enumerate(graph.nodes):

@@ -76,7 +76,7 @@ class Crystal:
         product leaf is read through it (``TensorCrystal`` folds leaves
         without a tree, keeping each factor's last leaf read; all five
         ``StringCrystal`` operators read one ``stats``, weight included,
-        and a ``GraphCrystal`` leaf is five reads of one table row).
+        and a ``GraphCrystal`` leaf is five reads of one node record).
         Graph generation reads every node through this method.
         """
         indices, bs = self.datum.indices(), repeat(b)
@@ -272,8 +272,8 @@ class UnitCrystal(Crystal):
 def sort_key(elt):
     """Total order on crystal elements, used for deterministic node ids.
 
-    Elements of one crystal always share a type, so the per-type tag
-    only matters for mixed containers in tests and diagnostics.
+    Elements of one crystal share a type (node ids for a ``GraphCrystal``),
+    so the tag only matters for mixed containers in tests and diagnostics.
     """
     if isinstance(elt, StringElement):  # the common case, tested first
         return (3, elt.x)
@@ -285,4 +285,6 @@ def sort_key(elt):
         return (2,)
     if isinstance(elt, TensorElement):
         return (4, tuple(sort_key(f) for f in elt.factors))
+    if is_int(elt):  # a ``GraphCrystal`` node id; a bool is not one
+        return (5, elt)
     raise TypeError(f"not a crystal element: {elt!r}")

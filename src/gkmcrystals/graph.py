@@ -16,9 +16,9 @@ Two generation modes:
 * ``graph_from_universe`` -- an explicitly given finite element set,
   used to audit products of truncated crystals.
 
-The other way round, ``GraphCrystal`` is the crystal a graph's own
-tables define, CUT included, so that a product can take a graph as a
-factor (the B(infinity) embedding check does).
+The other way round, ``GraphCrystal`` reads a graph's tables in place as
+a crystal on its node ids, CUT included, so a product can take any
+validated graph as a factor (the B(infinity) embedding check does).
 
 Raising is expected to stay inside a generated component; a raising
 result outside the node set is recorded in ``closure_failures`` (for a
@@ -248,36 +248,30 @@ def validate_structure(graph):
 
 
 class GraphCrystal(Crystal):
-    """The crystal a graph's own tables define, on the graph's elements:
-    one row per node of its cached wt, eps and phi and both fans, each
-    target given as the element itself and CUT wherever the graph has
-    CUT.  The graph's structure is validated first."""
+    """The crystal on a graph's node ids, read in place: node u has the
+    graph's cached wt, eps and phi, and e_i u and f_i u are the ids in
+    its fans as stored (an id, None or CUT).  No element is read, so it
+    takes any graph that passes ``validate_structure``."""
 
     def __init__(self, graph: CrystalGraph):
         validate_structure(graph)
         super().__init__(graph.datum)
-        nodes = graph.nodes
+        self.nodes = graph.nodes
 
-        def targets(fan):
-            return tuple(v if v is None or v is CUT else nodes[v].elt for v in fan)
+    def wt(self, u):
+        return self.nodes[u].wt
 
-        self._rows = {node.elt: (node.wt, node.eps, node.phi, targets(node.e_ids),
-                                 targets(node.f_ids)) for node in nodes}
+    def eps(self, i, u):
+        return self.nodes[u].eps[i]
 
-    def wt(self, b):
-        return self._rows[b][0]
+    def phi(self, i, u):
+        return self.nodes[u].phi[i]
 
-    def eps(self, i, b):
-        return self._rows[b][1][i]
+    def e(self, i, u):
+        return self.nodes[u].e_ids[i]
 
-    def phi(self, i, b):
-        return self._rows[b][2][i]
-
-    def e(self, i, b):
-        return self._rows[b][3][i]
-
-    def f(self, i, b):
-        return self._rows[b][4][i]
+    def f(self, i, u):
+        return self.nodes[u].f_ids[i]
 
 
 def weight_token(w: Weight) -> str:

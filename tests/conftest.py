@@ -56,6 +56,23 @@ def manual_graph(datum, weights, edges, root=0, elements=None, eps=None, phi=Non
     return graph
 
 
+# faults planted in one node record, each with the structure error it gives
+RECORD_FAULTS = {
+    "short-eps": (lambda node: setattr(node, "eps", node.eps[:1]), "is missing cached statistics"),
+    "no-weight": (lambda node: setattr(node, "wt", None), "has no weight of size"),
+    "missing-target": (lambda node: setattr(node, "f_ids", (99,) + node.f_ids[1:]),
+                       "f-edge to missing node 99"),
+}
+
+
+def plant_record_fault(graph, name, u=1):
+    """Plant fault ``name`` of ``RECORD_FAULTS`` in node u; return the
+    start of the error message it gives."""
+    fault, message = RECORD_FAULTS[name]
+    fault(graph.nodes[u])
+    return f"node {u} {message}"
+
+
 @pytest.fixture
 def d1():
     return make_d1()

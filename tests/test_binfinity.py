@@ -4,7 +4,7 @@ import gkmcrystals as G
 from gkmcrystals.binfinity import audit_binfinity_truncation
 from gkmcrystals.checks import check_morphism
 
-from conftest import make_imaginary_only, manual_graph
+from conftest import RECORD_FAULTS, make_imaginary_only, manual_graph, plant_record_fault
 
 
 class TestRealizeBinfinity:
@@ -172,24 +172,39 @@ class TestProjection:
             assert len(hw) == 11 and len(result.witness.mapping) == 11, (prefix, cycle)
             assert result.report.ok and not result.report.violations, result.report.lines()
 
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    @pytest.mark.parametrize("faulty", ["binf", "hw"])
+    def test_malformed_graph_is_a_structure_error(self, d1, faulty, fault):
+        seq = G.cyclic_sequence(d1)
+        graphs = {"hw": G.realize_highest_weight(d1, seq, d1.weight(lam=[1, 1]), 3),
+                  "binf": G.realize_binfinity(d1, seq, 3)}
+        message = plant_record_fault(graphs[faulty], fault)
+        with pytest.raises(G.GraphStructureError, match=message):
+            G.highest_weight_projection(graphs["hw"], graphs["binf"])
+
+    def test_source_must_be_a_highest_weight_carrier(self, d1):
+        binf = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
+        with pytest.raises(ValueError, match="B\\(lambda\\) carrier graph"):
+            G.highest_weight_projection(binf, binf)
+
 
 class TestCrystalEmbedding:
     def test_root_goes_to_root_tensor_top(self, d1):
         binf = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)
         result = G.crystal_embedding(binf, 1)
-        image = result.target.nodes[result.witness.mapping[binf.root]].elt
-        assert image.factors[0].x == ()
-        assert image.factors[1] == G.ElementaryElement(1, 0)
+        u, b = result.target.nodes[result.witness.mapping[binf.root]].elt.factors
+        assert binf.nodes[u].elt.x == ()
+        assert b == G.ElementaryElement(1, 0)
 
     def test_rank1_images(self, d2):
         binf = G.realize_binfinity(d2, G.cyclic_sequence(d2), 5)
         result = G.crystal_embedding(binf, 0)
         assert result.report.ok, result.report.lines()
         for u, v in sorted(result.witness.mapping.items()):
-            image = result.target.nodes[v].elt
+            first, b = result.target.nodes[v].elt.factors
             # f^k 1 goes to 1 (x) b(-k)
-            assert image.factors[0].x == ()
-            assert image.factors[1] == G.ElementaryElement(0, u)
+            assert binf.nodes[first].elt.x == ()
+            assert b == G.ElementaryElement(0, u)
 
     def test_first_imaginary_lowering_image(self, d1):
         seq = G.cyclic_sequence(d1)
@@ -199,9 +214,9 @@ class TestCrystalEmbedding:
         crystal = binf.crystal
         lowered = crystal.f(1, crystal.zero())
         u = binf.ids[lowered]
-        image = result.target.nodes[result.witness.mapping[u]].elt
-        assert image.factors[0].x == ()
-        assert image.factors[1] == G.ElementaryElement(1, 1)
+        first, b = result.target.nodes[result.witness.mapping[u]].elt.factors
+        assert binf.nodes[first].elt.x == ()
+        assert b == G.ElementaryElement(1, 1)
 
     def test_strict_embedding_all_indices(self, d1, toy_monster):
         for datum, seq, depth in (
@@ -235,14 +250,31 @@ class TestCrystalEmbedding:
             G.crystal_embedding(universe, 0)
 
     def test_reads_the_graph_not_its_crystal(self, d1, toy_monster):
+        # a copy with the same records, opaque elements and no crystal
+        # embeds like the original: only tables and ids are read
         for datum, seq in ((d1, G.cyclic_sequence(d1)), (toy_monster.datum, toy_monster.sequence)):
-            binf, bare = (G.realize_binfinity(datum, seq, 3) for _ in range(2))
-            bare.crystal = None
+            binf = G.realize_binfinity(datum, seq, 3)
+            bare = G.CrystalGraph(datum, None, binf.depth_bound)
+            for u, node in enumerate(binf.nodes):
+                record = bare.nodes[bare.add_node(("node", u), node.depth)]
+                for attr in ("wt", "eps", "phi", "e_ids", "f_ids", "frontier"):
+                    setattr(record, attr, getattr(node, attr))
             for i in datum.indices():
                 got, want = G.crystal_embedding(bare, i), G.crystal_embedding(binf, i)
                 assert got.witness == want.witness
                 assert got.report.violations == want.report.violations
                 assert got.report.summary() == want.report.summary()
+
+    def test_a_highest_weight_graph_is_not_binfinity(self, d1):
+        # B(lambda) embeds into nothing of this shape: at index 0 three
+        # nodes at the top of an f_0-string lower to zero in the source
+        # but not in B(lambda) ⊗ B_0
+        hw = G.realize_highest_weight(d1, G.cyclic_sequence(d1), d1.weight(lam=[1, 1]), 4)
+        report = G.crystal_embedding(hw, 0).report
+        assert not report.ok
+        assert report.summary() == "3 violations, 16 skipped (193 checks)"
+        assert {v.law for v in report.violations} == {"f_zero"}
+        assert G.crystal_embedding(hw, 1).report.ok
 
     def test_malformed_graph_is_a_structure_error(self, d1):
         binf = G.realize_binfinity(d1, G.cyclic_sequence(d1), 3)

@@ -7,6 +7,8 @@ from gkmcrystals.checks import MorphismWitness, check_morphism
 from gkmcrystals.fuzzing import random_universe_graph
 from gkmcrystals.graph import graph_from_universe
 
+from conftest import RECORD_FAULTS, plant_record_fault
+
 
 def elementary_graph(datum, i, depth):
     c = G.ElementaryCrystal(datum, i)
@@ -99,6 +101,16 @@ class TestCategoryProfile:
         g.nodes[1].eps = (g.nodes[1].eps[0], 3)
         report = G.check_category_profile(g)
         assert any(v.law == "imaginary_eps_nonpositive" for v in report.violations)
+
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    @pytest.mark.parametrize("kind", ["binf", "hw"])
+    def test_malformed_graph_is_a_structure_error(self, d1, kind, fault):
+        seq = G.cyclic_sequence(d1)
+        g = (G.realize_highest_weight(d1, seq, d1.weight(lam=[1, 1]), 3) if kind == "hw"
+             else G.realize_binfinity(d1, seq, 3))
+        message = plant_record_fault(g, fault)
+        with pytest.raises(G.GraphStructureError, match=message):
+            G.check_category_profile(g)
 
 
 class TestCheckMorphism:

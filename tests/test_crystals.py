@@ -110,8 +110,14 @@ class TestSortKey:
         assert sort_key(G.UnitElement()) == (2,)
 
     def test_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            sort_key(42)
+        for value in (True, 4.2, "x"):
+            with pytest.raises(TypeError):
+                sort_key(value)
+
+    def test_orders_node_ids_after_elements(self):
+        # a GraphCrystal's elements are node ids
+        leaves = [3, G.UnitElement(), 0, G.ElementaryElement(0, 1)]
+        assert sorted(leaves, key=sort_key) == [leaves[3], leaves[1], 0, 3]
 
 
 def test_unit_gate_differs_from_bare_elementary(d1):

@@ -196,13 +196,20 @@ class TestCanonicalForm:
             G.canonical_form(g)
 
 
+def element_of(graph, v):
+    """What a ``GraphCrystal`` target stands for: node v's element, or
+    v itself if it is None or CUT."""
+    return v if v is None or v is CUT else graph.nodes[v].elt
+
+
 class TestGraphCrystal:
     def test_reads_the_generating_crystal_where_the_graph_is_whole(self, d1, toy_monster):
         for datum, seq in ((d1, G.cyclic_sequence(d1)), (toy_monster.datum, toy_monster.sequence)):
             g = G.realize_binfinity(datum, seq, 3)
             crystal = G.GraphCrystal(g)
-            for node in g.nodes:
-                wt, eps, phi, e, f = G.Crystal.stats(crystal, node.elt)
+            for u, node in enumerate(g.nodes):
+                wt, eps, phi, e, f = G.Crystal.stats(crystal, u)
+                e, f = (tuple(element_of(g, v) for v in fan) for fan in (e, f))
                 want = g.crystal.stats(node.elt)
                 assert (wt, eps, phi, e) == want[:4]
                 if node.frontier:
@@ -216,10 +223,34 @@ class TestGraphCrystal:
         g.nodes[1].f_ids = (CUT,)
         crystal = G.GraphCrystal(g)
         assert crystal.datum is d2
-        assert [crystal.f(0, ("node", k)) for k in (0, 1)] == [("node", 1), CUT]
-        assert [crystal.e(0, ("node", k)) for k in (0, 1)] == [None, ("node", 0)]
-        b = ("node", 1)
-        assert (crystal.wt(b), crystal.eps(0, b), crystal.phi(0, b)) == (w.scaled(-1), 0, 0)
+        assert [element_of(g, crystal.f(0, k)) for k in (0, 1)] == [("node", 1), CUT]
+        assert [element_of(g, crystal.e(0, k)) for k in (0, 1)] == [None, ("node", 0)]
+        assert (crystal.wt(1), crystal.eps(0, 1), crystal.phi(0, 1)) == (w.scaled(-1), 0, 0)
+
+    def test_a_highest_weight_graph_as_a_tensor_factor(self, d1):
+        # B(lambda) ⊗ B_0 over the graph's ids reads like the string-backed
+        # carrier (strings ⊗ t_lambda ⊗ c) ⊗ B_0, a target id read as
+        # the element it stands for
+        g = G.realize_highest_weight(d1, G.cyclic_sequence(d1), d1.weight(lam=[1, 1]), 4)
+        elementary = G.ElementaryCrystal(d1, 0)
+        over_ids = G.TensorCrystal(G.GraphCrystal(g), elementary)
+        over_strings = G.TensorCrystal(g.crystal, elementary)
+
+        def element(b):
+            return b if b is None else over_strings.element(g.nodes[b.factors[0]].elt, b.factors[1])
+
+        checked = 0
+        for u, node in enumerate(g.nodes):
+            if node.frontier:
+                continue
+            for n in range(3):
+                b = elementary.element(n)
+                wt, eps, phi, e, f = over_ids.stats(over_ids.element(u, b))
+                want = over_strings.stats(over_strings.element(node.elt, b))
+                assert (wt, eps, phi) == want[:3]
+                assert (tuple(map(element, e)), tuple(map(element, f))) == want[3:]
+                checked += 1
+        assert checked == 33  # 11 of the 19 nodes are not frontier
 
     def test_validates_the_graph(self, d2):
         g = G.realize_binfinity(d2, G.cyclic_sequence(d2), 2)

@@ -166,12 +166,14 @@ def ref_weight(datum, seq, elt):
     raise TypeError(f"not a crystal element: {elt!r}")
 
 
-def assert_node_weights(graph, seq):
+def assert_node_weights(graph, seq, element=lambda elt: elt):
+    """``element`` reads a node's element as one of the library's."""
     assert len(graph.nodes) > 1
     for node in graph.nodes:
-        want = ref_weight(graph.datum, seq, node.elt)
+        elt = element(node.elt)
+        want = ref_weight(graph.datum, seq, elt)
         assert type(node.wt) is Weight
-        assert (node.wt.lam, node.wt.rt) == (want.lam, want.rt), node.elt
+        assert (node.wt.lam, node.wt.rt) == (want.lam, want.rt), elt
         assert hash(node.wt) == hash(want) and repr(node.wt) == repr(want)
 
 
@@ -209,7 +211,12 @@ def test_highest_weight_node_weights(name):
 def test_embedding_node_weights(name):
     datum, seq, _, depth = DATA[name]()
     binf = G.realize_binfinity(datum, seq, depth - 2)
+
+    def element(elt):  # (node id, b_i(-n)) read as (string, b_i(-n))
+        u, b = elt.factors
+        return G.TensorElement((binf.nodes[u].elt, b))
+
     for i in datum.indices():
         result = G.crystal_embedding(binf, i)
         assert result.report.ok, result.report.lines()
-        assert_node_weights(result.target, seq)
+        assert_node_weights(result.target, seq, element)
