@@ -33,7 +33,11 @@ that each costs one tuple concatenation (``iter_bounded_strings``).
 The rank-2 predicates test support shape before the shared body: a
 member has no zero strictly between position 1 and its last nonzero
 position (``rank2_member`` has the proof), so one C-level scan turns
-away all but 255 of the 245,157 strings of the depth-7 box.
+away all but 255 of the 245,157 strings of the depth-7 box.  The oracle
+makes that test before it calls the predicate at all:
+``rank2_candidates`` selects the box strings of a member's support
+shape in C, and ``compare_predicate_with_bfs(..., select=...)`` calls
+the predicate on those alone, still enumerating the whole box.
 
 The conditions are table-driven: they read the sequence's tables,
 ``IndexSequence.tables``, which the string crystal reads too (the Cartan
@@ -52,8 +56,8 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress
-from operator import mul
+from itertools import combinations_with_replacement, compress, tee
+from operator import itemgetter, mul
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int, make_datum
 from .binfinity import (
@@ -112,8 +116,26 @@ def rank2_member(x, p: Rank2Params) -> bool:
       x_{2k} = 0 forces x_{2k+1} = 0 by (i), which holds at every k;
       x_{2k-1} = 0 with k >= 2 forces x_{2k} = 0 by (ii);
       the lam waiver touches (ii) at k = 1 only, which reads x_1.
+    The predicate keeps this test, and ``rank2_candidates`` makes it for
+    a whole box before either predicate is called.
     """
     return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x)
+
+
+_TAIL = itemgetter(slice(1, None))
+
+
+def rank2_candidates(strings):
+    """The strings of a rank-2 member's support shape, in order: those
+    with no zero past position 1 (``all(x[1:])``), selected in C.
+
+    On strings without trailing zeros, such as the oracle's box, this is
+    exactly the support test both rank-2 predicates make first,
+    ``not (0 in x[1:] and x[-1])``: strings of length <= 1 pass both, and
+    a longer one ends in a nonzero, so the test reads "no zero in
+    x[1:]".  So every string it drops is one both predicates reject."""
+    strings, tails = tee(strings)
+    return compress(strings, map(all, map(_TAIL, tails)))
 
 
 def rank2_highest_weight_member(x, p: Rank2Params, lam: Weight) -> bool:
@@ -325,7 +347,7 @@ class OracleReport(namedtuple(
 
 
 def compare_predicate_with_bfs(
-    member, datum, seq: IndexSequence, depth: int, lam: Weight | None = None
+    member, datum, seq: IndexSequence, depth: int, lam: Weight | None = None, *, select=None
 ) -> OracleReport:
     """Diff a membership predicate against brute-force generation.
 
@@ -334,8 +356,15 @@ def compare_predicate_with_bfs(
     the same depth (the highest-weight one when ``lam`` is given), and
     reports the set differences plus both per-weight multiplicity tables;
     the predicate side computes its weights on its own, from the sequence.
+
+    ``select``, when given, maps the box's string iterator to the
+    strings ``member`` is called on (``rank2_candidates`` for the rank-2
+    predicates).  Its contract: it may drop only strings that ``member``
+    rejects, so the report is the one without it.  The whole box is
+    enumerated either way.
     """
-    passing = set(filter(member, iter_bounded_strings(default_position_bound(seq, depth), depth)))
+    box = iter_bounded_strings(default_position_bound(seq, depth), depth)
+    passing = set(filter(member, box if select is None else select(box)))
 
     if lam is None:
         graph = realize_binfinity(datum, seq, depth)

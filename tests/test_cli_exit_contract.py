@@ -1,11 +1,13 @@
 """The ``gkmc`` exit contract where the golden cases cannot reach:
-exports too large to pin, a failed generation audit, and the module's
-``__main__`` block, which only ``python -m gkmcrystals.cli`` runs.  One
-child process per exit code checks the status it hands the shell."""
+exports too large to pin, a failed generation audit, the module's
+``__main__`` block, which only ``python -m gkmcrystals.cli`` runs, and
+oracle boxes refused by their size before any work.  One child process
+per exit code checks the status it hands the shell."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,19 @@ def test_module_entry_point(datum_files, code, argv):
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "12"],
+    ["check", "oracle-monster", "--level", "1", "--mult", "40", "--depth", "4"],
+], ids=["rank2-depth12", "monster-1-40-depth4"])
+def test_an_oracle_box_over_budget_exits_two_at_once(argv):
+    # C(38,12) and C(209,4) candidates, refused before any is enumerated
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmcrystals.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert "over --max-candidates 10,000,000" in proc.stderr

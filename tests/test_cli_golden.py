@@ -173,6 +173,20 @@ CASES = {
         "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "4", "--lambda", "1,0",
     ],
     "check-oracle-rank2-bad-abc": ["check", "oracle-rank2", "--abc", "1,1", "--depth", "3"],
+    # the oracle's candidate selection leaves the report as it was
+    "check-oracle-rank2-hw-depth6": [
+        "check", "oracle-rank2", "--abc", "3,3,2", "--depth", "6", "--lambda", "1,1",
+    ],
+    "check-oracle-rank2-depth5-out": [
+        "check", "oracle-rank2", "--abc", "2,1,4", "--depth", "5", "--out", "{out}",
+    ],
+    # the depth-1 box holds C(5,1) = 5 strings
+    "check-oracle-rank2-budget-exact": [
+        "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--max-candidates", "5",
+    ],
+    "check-oracle-rank2-budget-one-short": [
+        "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--max-candidates", "4",
+    ],
     "check-oracle-rank2-out-missing-dir": [
         "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--out", "{missing-dir}",
     ],
@@ -362,7 +376,8 @@ def test_pinned_facts(golden):
     export is its frontier root; two spellings of one sequence export
     one crystal."""
     assert json.loads(golden["gen-names-json"]["stdout"])["edges"]
-    for name in ("check-oracle-rank2-depth7", "check-oracle-rank2-out"):
+    for name in ("check-oracle-rank2-depth7", "check-oracle-rank2-out",
+                 "check-oracle-rank2-depth5-out"):
         report = json.loads(golden[name]["out"])
         assert report["missing_in_bfs"] == report["missing_in_predicate"] == []
     for name in ("check-oracle-monster-1-15", "check-oracle-monster-2-15-1",
