@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import re
 import sys
@@ -230,15 +229,25 @@ def _oracle_outcome(title, report, out_path) -> int:
     return OK if report.ok else FAIL
 
 
-def _check_box_size(seq, depth, limit):
+# the most candidate strings an oracle box may hold
+_MAX_CANDIDATES = 10_000_000
+
+
+def _check_box_size(seq, depth):
     """Refuse, before any enumeration, an oracle box of more than
-    ``limit`` candidate strings."""
-    size = math.comb(default_position_bound(seq, depth) + depth, depth)
-    if size > limit:
-        raise UsageError(
-            f"the depth-{depth} oracle box holds {size:,} candidate strings, "
-            f"over --max-candidates {limit:,}"
-        )
+    ``_MAX_CANDIDATES`` strings.  The box holds C(bound + depth, depth)
+    strings; C(bound + k, k) grows with k, so building it one factor at
+    a time stops at the first k over the limit, before the number gets
+    large."""
+    bound = default_position_bound(seq, depth)
+    size = 1
+    for k in range(1, depth + 1):
+        size = size * (bound + k) // k
+        if size > _MAX_CANDIDATES:
+            raise UsageError(
+                f"the depth-{depth} oracle box holds more than {_MAX_CANDIDATES:,} "
+                "candidate strings"
+            )
 
 
 def cmd_oracle_rank2(args) -> int:
@@ -252,7 +261,7 @@ def cmd_oracle_rank2(args) -> int:
         raise UsageError(f"bad --abc {args.abc!r}: {exc}") from exc
     datum = rank2_datum(params)
     seq = cyclic_sequence(datum)
-    _check_box_size(seq, args.depth, args.max_candidates)
+    _check_box_size(seq, args.depth)
     if args.lam is None:
         lam, member = None, lambda x: rank2_member(x, params)
     else:
@@ -270,7 +279,7 @@ def cmd_oracle_monster(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad monster parameters: {exc}") from exc
     model = MonsterModel(params)
-    _check_box_size(model.sequence, args.depth, args.max_candidates)
+    _check_box_size(model.sequence, args.depth)
     for n in range(args.level + 1):
         if model.sequence.at(model.real_position(n)) != 0:
             print(f"real-slot check failed at n={n}")
@@ -374,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_integer_option(), default=None,
                       help="random seed (default: drawn)")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-candidates", type=_integer_option(1), default=10_000_000,
-                        help="refuse an oracle box of more strings (default: 10,000,000)")
     mode = argparse.ArgumentParser(add_help=False)
     mode.add_argument("--mode", choices=("binf", "hw"), default="binf", help="B(inf) or B(lambda)")
     generation = [datum, mode, lam, depth, seq]
@@ -398,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = _command(checks, "assoc", cmd_assoc, parents=[datum, seed])
     c.add_argument("--trials", type=_integer_option(1), default=20)
 
-    c = _command(checks, "oracle-rank2", cmd_oracle_rank2, parents=[depth, lam, out, budget])
+    c = _command(checks, "oracle-rank2", cmd_oracle_rank2, parents=[depth, lam, out])
     c.add_argument("--abc", required=True, help='rank-2 parameters "a,b,c"')
 
-    c = _command(checks, "oracle-monster", cmd_oracle_monster, parents=[depth, out, budget])
+    c = _command(checks, "oracle-monster", cmd_oracle_monster, parents=[depth, out])
     c.add_argument("--level", type=_integer_option(), required=True)
     c.add_argument("--mult", required=True, help='multiplicities "m1,m2,..."')
     weight = c.add_mutually_exclusive_group()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gkmcrystals import tensor
+from gkmcrystals import cli, tensor
 
 from test_cli_golden import datum_files, run_case  # datum_files: the shared fixture
 
@@ -61,9 +61,13 @@ def test_module_entry_point(datum_files, code, argv):
 @pytest.mark.parametrize("argv", [
     ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "12"],
     ["check", "oracle-monster", "--level", "1", "--mult", "40", "--depth", "4"],
-], ids=["rank2-depth12", "monster-1-40-depth4"])
+    ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "6000"],
+    ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1000000000"],
+], ids=["rank2-depth12", "monster-1-40-depth4", "rank2-depth6000", "rank2-depth1e9"])
 def test_an_oracle_box_over_budget_exits_two_at_once(argv):
-    # C(38,12) and C(209,4) candidates, refused before any is enumerated
+    # C(38,12) and C(209,4) candidates; C(18002,6000) has more digits
+    # than Python turns into a string, and C(3e9 + 2, 1e9) more than fit
+    # in memory: each is refused before any string is enumerated
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "gkmcrystals.cli", *argv],
@@ -71,4 +75,16 @@ def test_an_oracle_box_over_budget_exits_two_at_once(argv):
     )
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
-    assert "over --max-candidates 10,000,000" in proc.stderr
+    assert "oracle box holds more than 10,000,000 candidate strings" in proc.stderr
+
+
+@pytest.mark.parametrize("limit, code", [(5, 0), (4, 2)], ids=["exact", "one-short"])
+def test_an_oracle_box_at_the_budget_runs(datum_files, monkeypatch, limit, code):
+    # the depth-1 box holds C(5,1) = 5 strings
+    monkeypatch.setattr(cli, "_MAX_CANDIDATES", limit)
+    argv = ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1"]
+    result = run_case(argv, *datum_files)
+    assert result["exit"] == code
+    if code:
+        assert result["stderr"] == (
+            "error: the depth-1 oracle box holds more than 4 candidate strings\n")

@@ -22,9 +22,9 @@ VERBS = {
     ("frobnicate",): ([], []),
     ("check", "axioms"): (["--datum", "--trials"], ["--seed"]),
     ("check", "assoc"): (["--datum", "--trials"], ["--seed"]),
-    ("check", "oracle-rank2"): (["--abc", "--depth"], ["--lambda", "--out", "--max-candidates"]),
+    ("check", "oracle-rank2"): (["--abc", "--depth"], ["--lambda", "--out"]),
     ("check", "oracle-monster"): (["--level", "--mult", "--depth"],
-                                  ["--lambda", "--lambda-real", "--out", "--max-candidates"]),
+                                  ["--lambda", "--lambda-real", "--out"]),
     ("check", "projection"): (["--datum", "--lambda", "--depth"], ["--seq"]),
     ("check", "embedding"): (["--datum", "--depth"], ["--seq", "--index"]),
     ("check", "profile"): (["--datum", "--depth"], GENERATION),
@@ -53,8 +53,6 @@ VALUES = {
     "--level": (["1", "2"], ["0", *BAD_NUMBERS]),
     "--mult": (["1", "2", "2,1", "1,1", "15", "15,1"], ["0", "x", ""]),
     "--lambda-real": (["0", "1"], ["-1", "x"]),
-    # a small budget refuses most boxes (exit 2), a large one none
-    "--max-candidates": (["1", "20", "10000000"], ["0", *BAD_NUMBERS]),
     "--index": (["1", "2", "a", "(-1,1)"], ["nope", ""]),
     "--help": ([None], []),
 }
@@ -113,8 +111,6 @@ INTEGER_SLOTS = {
                     "--lambda-real", "{n}"],
     "mult": ["check", "oracle-monster", "--level", "1", "--mult", "{n}", "--depth", "1"],
     "abc": ["check", "oracle-rank2", "--abc", "{n},1,0", "--depth", "1"],
-    "max-candidates": ["check", "oracle-rank2", "--abc", "1,1,0", "--depth", "0",
-                       "--max-candidates", "{n}"],
     "lambda": ["gen", "--datum", "{d1}", "--mode", "hw", "--lambda", "{n},0", "--depth", "1"],
 }
 

@@ -180,13 +180,6 @@ CASES = {
     "check-oracle-rank2-depth5-out": [
         "check", "oracle-rank2", "--abc", "2,1,4", "--depth", "5", "--out", "{out}",
     ],
-    # the depth-1 box holds C(5,1) = 5 strings
-    "check-oracle-rank2-budget-exact": [
-        "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--max-candidates", "5",
-    ],
-    "check-oracle-rank2-budget-one-short": [
-        "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--max-candidates", "4",
-    ],
     "check-oracle-rank2-out-missing-dir": [
         "check", "oracle-rank2", "--abc", "1,1,0", "--depth", "1", "--out", "{missing-dir}",
     ],
