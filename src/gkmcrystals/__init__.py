@@ -82,10 +82,10 @@ from .closed_form import (
     compare_predicate_with_bfs,
     iter_bounded_strings,
     monster_datum,
-    rank2_candidates,
     rank2_datum,
     rank2_highest_weight_member,
     rank2_member,
+    window_candidates,
 )
 
 __version__ = "0.1.0"

@@ -30,10 +30,10 @@ from .closed_form import (
     Rank2Params,
     compare_predicate_with_bfs,
     default_position_bound,
-    rank2_candidates,
     rank2_datum,
     rank2_highest_weight_member,
     rank2_member,
+    window_candidates,
 )
 from .binfinity import (
     AuditError,
@@ -268,7 +268,7 @@ def cmd_oracle_rank2(args) -> int:
         lam = _dominant_lambda(datum, args.lam)
         member = lambda x: rank2_highest_weight_member(x, params, lam)
     report = compare_predicate_with_bfs(
-        member, datum, seq, args.depth, lam=lam, select=rank2_candidates)
+        member, datum, seq, args.depth, lam=lam, select=window_candidates(seq))
     return _oracle_outcome(f"oracle-rank2 a={a} b={b} c={c}", report, args.out)
 
 
@@ -290,7 +290,8 @@ def cmd_oracle_monster(args) -> int:
     elif args.lam is not None:
         lam = _dominant_lambda(model.datum, args.lam)
     member = model.member if lam is None else lambda x: model.highest_weight_member(x, lam)
-    report = compare_predicate_with_bfs(member, model.datum, model.sequence, args.depth, lam=lam)
+    report = compare_predicate_with_bfs(member, model.datum, model.sequence, args.depth, lam=lam,
+                                        select=window_candidates(model.sequence))
     return _oracle_outcome(f"oracle-monster level={args.level} m={args.mult}", report, args.out)
 
 

@@ -30,14 +30,24 @@ crystal) against the generated component -- no shared code path.  The
 box holds C(positions + depth, depth) strings, tabulated by halves so
 that each costs one tuple concatenation (``iter_bounded_strings``).
 
-The rank-2 predicates test support shape before the shared body: a
-member has no zero strictly between position 1 and its last nonzero
-position (``rank2_member`` has the proof), so one C-level scan turns
-away all but 255 of the 245,157 strings of the depth-7 box.  The oracle
-makes that test before it calls the predicate at all:
-``rank2_candidates`` selects the box strings of a member's support
-shape in C, and ``compare_predicate_with_bfs(..., select=...)`` calls
-the predicate on those alone, still enumerating the whole box.
+The window lemma: take a nonzero x_k at a position k that is not the
+first occurrence of i_k; its window is the positions strictly between
+the previous occurrence of i_k and k.  A member of either predicate,
+with or without lam, has a nonzero entry in every such window.  Proof,
+read off ``_conditions``: at a real slot b(n+1) an all-zero window
+makes the (ii) sum 0 < x_{b(n+1)}; at an imaginary slot it leaves no
+negative mass, so ``held`` is false and the string is rejected; lam
+waives first occurrences only.  Over the rank-2 cyclic sequence every
+window has length 1, so a member has no zero strictly between position
+1 and its last nonzero position: the support-shape test both rank-2
+predicates make first.  The oracle selects by the lemma before it calls
+a predicate at all: ``window_candidates(seq)`` drops, in C, the box
+strings with a run of W zeros starting at or past index F + 1 - W,
+where F is the last first-occurrence index and W the longest window
+past it; such a run, followed by a nonzero, covers that nonzero's whole
+window.  ``compare_predicate_with_bfs(..., select=...)`` calls the
+predicate on the rest alone, still enumerating the whole box: 787 of
+the 17,550 strings of the (2;2,1) depth-4 box, 222 of them members.
 
 The conditions are table-driven: they read the sequence's tables,
 ``IndexSequence.tables``, which the string crystal reads too (the Cartan
@@ -56,7 +66,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress, tee
+from itertools import combinations_with_replacement, compress, repeat, tee
 from operator import itemgetter, mul
 
 from .cartan import BorcherdsCartanDatum, Weight, is_int, make_datum
@@ -109,33 +119,12 @@ def rank2_member(x, p: Rank2Params) -> bool:
     These are ``MonsterModel.member``'s conditions over the cyclic
     sequence: (i) is Monster (ii) at every n >= 0, and (ii) is (iii).
 
-    Support shape: a member with last nonzero position L has
-    x_2, ..., x_L all nonzero, and so has every member of
-    ``rank2_highest_weight_member``.  Proof: a zero at 2 <= j < L
-    spreads to j + 1, hence to L --
-      x_{2k} = 0 forces x_{2k+1} = 0 by (i), which holds at every k;
-      x_{2k-1} = 0 with k >= 2 forces x_{2k} = 0 by (ii);
-      the lam waiver touches (ii) at k = 1 only, which reads x_1.
-    The predicate keeps this test, and ``rank2_candidates`` makes it for
-    a whole box before either predicate is called.
+    Support shape: a member has no zero strictly between position 1
+    and its last nonzero position, and so has every member of
+    ``rank2_highest_weight_member``; this is the window lemma's cyclic
+    case (module docstring).  The predicate tests it first.
     """
     return not (0 in x[1:] and x[-1]) and _rank2_model(p)._conditions(x)
-
-
-_TAIL = itemgetter(slice(1, None))
-
-
-def rank2_candidates(strings):
-    """The strings of a rank-2 member's support shape, in order: those
-    with no zero past position 1 (``all(x[1:])``), selected in C.
-
-    On strings without trailing zeros, such as the oracle's box, this is
-    exactly the support test both rank-2 predicates make first,
-    ``not (0 in x[1:] and x[-1])``: strings of length <= 1 pass both, and
-    a longer one ends in a nonzero, so the test reads "no zero in
-    x[1:]".  So every string it drops is one both predicates reject."""
-    strings, tails = tee(strings)
-    return compress(strings, map(all, map(_TAIL, tails)))
 
 
 def rank2_highest_weight_member(x, p: Rank2Params, lam: Weight) -> bool:
@@ -309,6 +298,31 @@ def iter_bounded_strings(positions: int, max_height: int):
                     yield from map((head + (0,) * (n1 - len(head))).__add__, table[h - s])
 
 
+def window_candidates(seq: IndexSequence):
+    """The window lemma's selection for the string model on ``seq``: a
+    function mapping an iterator of strings without trailing zeros, such
+    as the oracle's box, to those with no run of W zeros starting at or
+    past index F + 1 - W (0-based), in order and in C.  F and W are read
+    off the tables up to one cycle past the first full cycle, past which
+    the windows repeat.  For W = 1 (rank 2) the test is ``all(x[F:])``,
+    otherwise ``bytes(x).rfind(bytes(W))``, so entries must be below 256,
+    as they are in any box that can be enumerated."""
+    reach = len(seq.prefix) + len(seq.cycle)  # every index occurs by then
+    prev = seq.tables(reach).prev
+    last = max(k for k in range(reach) if not prev[k])
+    width = max(k - prev[k] for k in range(last + 1, reach + len(seq.cycle)))
+    start = max(last + 1 - width, 0)
+    tail, zeros = itemgetter(slice(start, None)), bytes(width)
+
+    def select(strings):
+        strings, keys = tee(strings)
+        if width == 1:  # twice as cheap as the bytes scan
+            return compress(strings, map(all, map(tail, keys)))
+        runs = map(bytes.rfind, map(bytes, keys), repeat(zeros))  # the last run's start, or -1
+        return compress(strings, map(start.__gt__, runs))
+    return select
+
+
 def default_position_bound(seq: IndexSequence, depth: int) -> int:
     """Positions a depth-bounded generation can ever touch: each
     lowering extends the support by at most one cycle."""
@@ -358,10 +372,10 @@ def compare_predicate_with_bfs(
     the predicate side computes its weights on its own, from the sequence.
 
     ``select``, when given, maps the box's string iterator to the
-    strings ``member`` is called on (``rank2_candidates`` for the rank-2
-    predicates).  Its contract: it may drop only strings that ``member``
-    rejects, so the report is the one without it.  The whole box is
-    enumerated either way.
+    strings ``member`` is called on (``window_candidates(seq)`` for the
+    closed-form predicates).  Its contract: it may drop only strings
+    that ``member`` rejects, so the report is the one without it.  The
+    whole box is enumerated either way.
     """
     box = iter_bounded_strings(default_position_bound(seq, depth), depth)
     passing = set(filter(member, box if select is None else select(box)))

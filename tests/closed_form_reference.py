@@ -10,8 +10,11 @@ the index array.  They are kept, unchanged in substance, as the path the fast pr
 diffed against (``test_closed_form_differential.py``).  The box
 enumerator builds every string from its multiset, where the library
 concatenates a padded head with a tabulated tail; it is diffed against
-the library's (``test_enumeration_differential.py``).  Nothing in the
-library calls either.
+the library's (``test_enumeration_differential.py``).  The window
+lemma's exact test and the bounds of its selection are read the same
+way, position by position, and the library's selection is diffed
+against them (``test_oracle_selection.py``).  Nothing in the library
+calls any of these.
 """
 
 from itertools import combinations_with_replacement
@@ -62,12 +65,35 @@ def rank2_highest_weight_member(x, p, datum, lam) -> bool:
     return True
 
 
-def _previous_occurrence(model, k: int) -> int:
-    target = model.sequence.at(k)
+def _previous_occurrence(seq, k: int) -> int:
+    target = seq.at(k)
     for l in range(k - 1, 0, -1):
-        if model.sequence.at(l) == target:
+        if seq.at(l) == target:
             return l
     return 0
+
+
+def window_lemma_holds(seq, x) -> bool:
+    """The window lemma's exact test, position by position: every
+    nonzero x_k whose index occurred before, last at l, has a nonzero
+    entry at some position strictly between l and k."""
+    for k in range(1, len(x) + 1):
+        if x[k - 1]:
+            l = _previous_occurrence(seq, k)
+            if l and not any(x[l:k - 1]):
+                return False
+    return True
+
+
+def window_bounds(seq):
+    """(F, W) of ``window_candidates``, read through ``IndexSequence.at``
+    over six cycles past the prefix: F the 0-based index of the last
+    first occurrence, W the most positions strictly between two
+    consecutive occurrences of one index, the later one past F."""
+    end = len(seq.prefix) + 6 * len(seq.cycle)
+    last = max(k for k in range(1, end + 1) if not _previous_occurrence(seq, k))
+    width = max(k - _previous_occurrence(seq, k) - 1 for k in range(last + 1, end + 1))
+    return last - 1, width
 
 
 def _real_gate(model, x, n: int) -> int:
@@ -92,7 +118,7 @@ def monster_member(model, x) -> bool:
     for k in range(1, support + 1):
         if _entry(x, k) == 0 or seq.at(k) == 0:
             continue
-        prev = _previous_occurrence(model, k)
+        prev = _previous_occurrence(model.sequence, k)
         if prev == 0:
             continue
         i = seq.at(k)
@@ -135,7 +161,7 @@ def monster_highest_weight_member(model, x, lam) -> bool:
             _entry(x, k) == 0
             or i == 0
             or datum.pairing(i, lam) != 0
-            or _previous_occurrence(model, k) != 0
+            or _previous_occurrence(model.sequence, k) != 0
         ):
             continue
         if not any(

@@ -1,7 +1,8 @@
 """The ``gkmc`` exit contract where the golden cases cannot reach:
 exports too large to pin, a failed generation audit, the module's
-``__main__`` block, which only ``python -m gkmcrystals.cli`` runs, and
-oracle boxes refused by their size before any work.  One child process
+``__main__`` block, which only ``python -m gkmcrystals.cli`` runs,
+selected Monster oracles down to depth 0, and oracle boxes refused by
+their size before any work.  One child process
 per exit code checks the status it hands the shell."""
 
 import os
@@ -56,6 +57,20 @@ def test_module_entry_point(datum_files, code, argv):
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("level, mult, depth", [(1, "1", 0), (2, "1,1", 0), (1, "2", 3)],
+                         ids=["1-1-depth0", "2-11-depth0", "1-2-depth3"])
+def test_a_selected_monster_oracle_runs_from_depth_zero(datum_files, level, mult, depth):
+    # the window selection reads its bounds off the sequence: the depth-0
+    # box ends at the last first occurrence, before any window past it
+    argv = ["check", "oracle-monster", "--level", str(level), "--mult", mult,
+            "--depth", str(depth)]
+    result = run_case(argv, *datum_files)
+    assert result["exit"] == 0, result
+    assert result["stdout"].startswith(
+        f"oracle-monster level={level} m={mult}: predicate-only 0, generation-only 0, "
+        "multiplicities agree")
 
 
 @pytest.mark.parametrize("argv", [
